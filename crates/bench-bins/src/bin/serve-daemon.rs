@@ -23,10 +23,9 @@
 //! * `--replicas/--threads/--minibatch/--queue-cap/--max-wait-ms` —
 //!   per-model serving shape (defaults `1`/`2`/`4`/derived/`2`).
 //! * `--tune off|model|measured` — plan-time autotuning level of the
-//!   hosted convolutions (default: the `ANATOMY_TUNE` env var, else
-//!   `off`).
+//!   hosted convolutions (default `off`).
 //! * `--precision f32|int8` — numeric execution mode of the hosted
-//!   replicas (default: the `ANATOMY_PRECISION` env var, else `f32`).
+//!   replicas (default `f32`).
 //!   At `int8` every model calibrates on a small seeded sample batch
 //!   so all its convolutions join the quantized path.
 //! * `--tune-cache PATH` — persistent tuning cache: loaded before the
@@ -105,11 +104,11 @@ fn run() -> Result<(), String> {
     let queue_cap = arg_usize("--queue-cap", 0);
     let tune = match arg_str("--tune") {
         Some(v) => TuneLevel::parse(&v).map_err(|e| format!("--tune: {e}"))?,
-        None => TuneLevel::from_env().unwrap_or_default(),
+        None => TuneLevel::default(),
     };
     let precision = match arg_str("--precision") {
         Some(v) => Precision::parse(&v).map_err(|e| format!("--precision: {e}"))?,
-        None => Precision::from_env().unwrap_or_default(),
+        None => Precision::default(),
     };
     let tune_cache = arg_str("--tune-cache");
 

@@ -42,8 +42,8 @@ fn drive(
 ) -> LayoutResult {
     let replicas = cfg.replicas;
     let threads_per_replica = cfg.threads_per_replica;
-    let frontend =
-        BatchingFrontend::with_cache(topology, cfg, cache.clone()).expect("topology parses");
+    let frontend = BatchingFrontend::with_cache_and_weights(topology, cfg, cache.clone(), None)
+        .expect("topology parses");
     let sample = frontend.sample_elems();
     let mut rng = tensor::rng::SplitMix64::new(0x5e21e);
     let mut image = vec![0.0f32; sample];

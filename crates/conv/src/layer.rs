@@ -50,12 +50,6 @@ impl Precision {
         }
     }
 
-    /// Read `ANATOMY_PRECISION` from the environment; `None` when the
-    /// variable is unset or invalid.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("ANATOMY_PRECISION").ok().and_then(|v| Self::parse(&v).ok())
-    }
-
     /// Stable lowercase name (`f32` / `int8`).
     pub fn name(&self) -> &'static str {
         match self {

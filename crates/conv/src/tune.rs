@@ -73,13 +73,7 @@ impl TuneLevel {
         }
     }
 
-    /// The level named by the `ANATOMY_TUNE` environment variable, if
-    /// set to a recognized value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("ANATOMY_TUNE").ok().and_then(|v| Self::parse(&v).ok())
-    }
-
-    /// Stable lowercase name (the `ANATOMY_TUNE` / `--tune` spelling).
+    /// Stable lowercase name (the `--tune` spelling).
     pub fn name(&self) -> &'static str {
         match self {
             Self::Heuristic => "heuristic",

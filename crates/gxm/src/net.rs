@@ -45,15 +45,62 @@ const BN_EPS: f32 = 1e-5;
 /// accumulated during training (the usual framework default).
 const BN_MOMENTUM: f32 = 0.1;
 
-/// How a network's storage is materialized.
+/// How a network's storage is materialized, and — for inference — how
+/// its plans are built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Activations + gradients + momentum: the full training loop.
+    /// Activations + gradients + momentum: the full training loop
+    /// (unfused, f32, heuristic blocking).
     #[default]
     Training,
     /// Forward-only serving: no gradient/momentum/scratch allocation,
-    /// activation buffers shared via the liveness memory plan.
-    Inference,
+    /// activation buffers shared via the liveness memory plan, plans
+    /// built per the [`InferOpts`].
+    Inference(InferOpts),
+}
+
+impl ExecMode {
+    /// Numeric execution mode of the conv plans (always f32 in
+    /// training).
+    fn precision(&self) -> Precision {
+        match self {
+            ExecMode::Training => Precision::F32,
+            ExecMode::Inference(o) => o.precision,
+        }
+    }
+}
+
+/// The plan options that only exist for an [`ExecMode::Inference`]
+/// network. The default is the serving configuration: BN folded,
+/// heuristic blocking, f32.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InferOpts {
+    /// Run the BN fusion pass: every `Conv → Bn (→ eltwise-add →
+    /// ReLU)` subgraph executes as one fused convolution with the BN's
+    /// frozen statistics folded into weights and bias (see
+    /// [`Network::folded_bn_count`]). `false` keeps every BN a
+    /// standalone frozen-stats pass — the unfused reference the fused
+    /// executor is benchmarked and tested against.
+    pub fold_bn: bool,
+    /// Plan-time autotuning level of every convolution's blocking (see
+    /// [`conv::TuneLevel`]); winners are memoized in the plan cache's
+    /// tuning store, so replicas and repeated builds never re-tune.
+    pub tune: conv::TuneLevel,
+    /// Numeric execution mode. At [`Precision::Int8`] every
+    /// convolution plans a fused quantized forward next to its f32
+    /// plan; nodes whose input-scale estimate can be derived from BN
+    /// parameters execute int8 immediately, the rest fall back to f32
+    /// until a [`Network::calibrate_batch`] measurement covers them.
+    /// Blobs between nodes stay plain f32 either way — quantization
+    /// happens on entry to a conv and requantization inside its fused
+    /// APPLY, so mixed-precision graphs need no explicit cast nodes.
+    pub precision: Precision,
+}
+
+impl Default for InferOpts {
+    fn default() -> Self {
+        Self { fold_bn: true, tune: conv::TuneLevel::Heuristic, precision: Precision::F32 }
+    }
 }
 
 /// Activation (+ gradient, in training mode) storage for one slot.
@@ -75,7 +122,7 @@ impl Param {
             ExecMode::Training => {
                 Self { w: vec![0.0; len], dw: vec![0.0; len], vel: vec![0.0; len] }
             }
-            ExecMode::Inference => Self { w: vec![0.0; len], dw: Vec::new(), vel: Vec::new() },
+            ExecMode::Inference(_) => Self { w: vec![0.0; len], dw: Vec::new(), vel: Vec::new() },
         }
     }
 
@@ -236,8 +283,6 @@ struct GraphPlan {
     conv_plans: Vec<Option<Arc<ConvLayer>>>,
     /// Fusion rewrite per convolution node (inference mode only).
     fold: Vec<Option<FoldSpec>>,
-    /// Numeric execution mode every conv plan was built for.
-    precision: Precision,
     input_node: usize,
     loss_node: usize,
     classes: usize,
@@ -247,18 +292,18 @@ struct GraphPlan {
 /// inference BN folds, and obtain every convolution plan through
 /// `cache` (one JIT + dryrun per *distinct* normalized layer, shared
 /// handles for repeats).
-#[allow(clippy::too_many_arguments)]
 fn plan_graph(
     nl: &[NodeSpec],
     minibatch: usize,
     pool: &Arc<ThreadPool>,
     cache: &PlanCache,
     mode: ExecMode,
-    fold_bn: bool,
-    tune: conv::TuneLevel,
-    precision: Precision,
 ) -> GraphPlan {
     let threads = pool.nthreads();
+    let opts = match mode {
+        ExecMode::Training => InferOpts { fold_bn: false, ..InferOpts::default() },
+        ExecMode::Inference(o) => o,
+    };
     let etg = compile(nl);
     let nodes = &etg.eng.nodes;
     let index: HashMap<String, usize> =
@@ -350,7 +395,7 @@ fn plan_graph(
     // conv is never folded: the NL extender routes shared blobs
     // through a Split, so the BN's bottom is then not a Conv node.
     let mut fold: Vec<Option<FoldSpec>> = vec![None; nodes.len()];
-    if mode == ExecMode::Inference && fold_bn {
+    if opts.fold_bn {
         for (j, n) in nodes.iter().enumerate() {
             let NodeSpec::Bn { bottom, relu, eltwise, .. } = n else { continue };
             let bi = index[bottom.as_str()];
@@ -439,7 +484,7 @@ fn plan_graph(
                             // int8: every conv also plans a fused
                             // quantized forward, so a later calibration
                             // can widen coverage without replanning
-                            .with_precision(precision)
+                            .with_precision(opts.precision)
                             // the *physical* padding of the input blob
                             // (for a folded producer, the merged blob
                             // carries its BN's consumer padding)
@@ -450,7 +495,7 @@ fn plan_graph(
                             // (shape, machine, level), so repeated shapes
                             // search once; Measured micro-benches on the
                             // network's own pool
-                            .with_tune(tune)
+                            .with_tune(opts.tune)
                             .with_pool(Arc::clone(pool)),
                     ),
                 )
@@ -461,18 +506,7 @@ fn plan_graph(
     }
     assert!(input_node != usize::MAX, "topology has no input node");
     assert!(loss_node != usize::MAX, "topology has no softmaxloss node");
-    GraphPlan {
-        etg,
-        alias,
-        shapes,
-        opad,
-        conv_plans,
-        fold,
-        precision,
-        input_node,
-        loss_node,
-        classes,
-    }
+    GraphPlan { etg, alias, shapes, opad, conv_plans, fold, input_node, loss_node, classes }
 }
 
 impl GraphPlan {
@@ -578,8 +612,6 @@ pub struct Network {
     /// Class count of the softmax head.
     pub classes: usize,
     labels: Vec<usize>,
-    /// Numeric execution mode the conv plans were built for.
-    precision: Precision,
     /// Per-node int8 state (`Some` only for quantizable convs at
     /// [`Precision::Int8`]); rebuilt by `requantize`.
     quant: Vec<Option<QuantState>>,
@@ -622,11 +654,9 @@ impl Network {
     /// a shared [`PlanCache`]. Serving stacks pass one pool + cache to
     /// every network they build so repeated layer shapes JIT once.
     ///
-    /// In [`ExecMode::Inference`] the plan phase runs the BN fusion
-    /// pass: every `Conv → Bn (→ eltwise-add → ReLU)` subgraph
-    /// executes as one fused convolution with the BN's frozen
-    /// statistics folded into weights and bias (see
-    /// [`Self::folded_bn_count`]); BN nodes that cannot fold still
+    /// An [`ExecMode::Inference`] mode carries the inference-only plan
+    /// options ([`InferOpts`]): the BN fusion pass, the autotuning
+    /// level and the numeric precision. BN nodes that do not fold
     /// normalize with frozen running statistics, so bn-graph forwards
     /// are batch-composition-independent either way.
     pub fn build_with(
@@ -636,70 +666,10 @@ impl Network {
         mode: ExecMode,
         cache: &PlanCache,
     ) -> Result<Self, Error> {
-        Self::build_with_fold(spec, minibatch, pool, mode, cache, true)
-    }
-
-    /// [`Self::build_with`] with the inference BN fusion pass made
-    /// explicit: `fold_bn = false` keeps every BN a standalone
-    /// frozen-stats pass — the unfused reference the fused executor is
-    /// benchmarked and tested against. Ignored in training mode.
-    pub fn build_with_fold(
-        spec: &ModelSpec,
-        minibatch: usize,
-        pool: Arc<ThreadPool>,
-        mode: ExecMode,
-        cache: &PlanCache,
-        fold_bn: bool,
-    ) -> Result<Self, Error> {
-        Self::build_tuned(spec, minibatch, pool, mode, cache, fold_bn, conv::TuneLevel::Heuristic)
-    }
-
-    /// [`Self::build_with_fold`] with the plan-time autotuner enabled:
-    /// every convolution's blocking is chosen at `tune` level
-    /// (see [`conv::TuneLevel`]), with winners memoized in `cache`'s
-    /// tuning store — replicas and repeated builds never re-tune, and
-    /// [`PlanCache::load_tuning`] lets a restart skip measurement
-    /// entirely.
-    pub fn build_tuned(
-        spec: &ModelSpec,
-        minibatch: usize,
-        pool: Arc<ThreadPool>,
-        mode: ExecMode,
-        cache: &PlanCache,
-        fold_bn: bool,
-        tune: conv::TuneLevel,
-    ) -> Result<Self, Error> {
-        Self::build_quantized(spec, minibatch, pool, mode, cache, fold_bn, tune, Precision::F32)
-    }
-
-    /// [`Self::build_tuned`] with the numeric execution mode made
-    /// explicit. At [`Precision::Int8`] (inference mode only) every
-    /// convolution plans a fused quantized forward next to its f32
-    /// plan; nodes whose input-scale estimate can be derived from BN
-    /// parameters execute int8 immediately, the rest fall back to f32
-    /// until a [`Self::calibrate_batch`] measurement covers them.
-    /// Blobs between nodes stay plain f32 either way — quantization
-    /// happens on entry to a conv and requantization inside its fused
-    /// APPLY, so mixed-precision graphs need no explicit cast nodes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_quantized(
-        spec: &ModelSpec,
-        minibatch: usize,
-        pool: Arc<ThreadPool>,
-        mode: ExecMode,
-        cache: &PlanCache,
-        fold_bn: bool,
-        tune: conv::TuneLevel,
-        precision: Precision,
-    ) -> Result<Self, Error> {
         if minibatch == 0 {
             return Err(Error::BadInput("minibatch must be >= 1".to_string()));
         }
-        if precision == Precision::Int8 && mode != ExecMode::Inference {
-            return Err(Error::BadInput("int8 precision requires inference mode".to_string()));
-        }
-        let plan =
-            plan_graph(spec.nodes(), minibatch, &pool, cache, mode, fold_bn, tune, precision);
+        let plan = plan_graph(spec.nodes(), minibatch, &pool, cache, mode);
         Ok(Self::allocate(plan, minibatch, pool, mode, spec.seed()))
     }
 
@@ -736,7 +706,7 @@ impl Network {
                 }
                 (slot_of, blobs)
             }
-            ExecMode::Inference => assign_slots_inference(&plan, minibatch),
+            ExecMode::Inference(_) => assign_slots_inference(&plan, minibatch),
         };
 
         // parameters + per-node operator state. Every parameterized
@@ -838,7 +808,6 @@ impl Network {
             minibatch,
             classes: plan.classes,
             labels: Vec::new(),
-            precision: plan.precision,
             quant: (0..nodes_len).map(|_| None).collect(),
             derived_amax: vec![None; nodes_len],
             calibrated_amax: vec![None; nodes_len],
@@ -968,7 +937,7 @@ impl Network {
     /// `load_state_dict` and a hot weight reload all leave the int8
     /// weights consistent with the f32 parameters. No-op at f32.
     fn requantize(&mut self) {
-        if self.precision != Precision::Int8 {
+        if self.precision() != Precision::Int8 {
             return;
         }
         self.derived_amax = self.derive_amax();
@@ -1014,7 +983,11 @@ impl Network {
     /// int8 states are rebuilt against the measured ranges. Only
     /// meaningful — and only allowed — at [`Precision::Int8`].
     pub fn calibrate_batch(&mut self) {
-        assert_eq!(self.precision, Precision::Int8, "calibration needs an int8-precision network");
+        assert_eq!(
+            self.precision(),
+            Precision::Int8,
+            "calibration needs an int8-precision network"
+        );
         if self.labels.len() != self.minibatch {
             self.labels = vec![0; self.minibatch];
         }
@@ -1079,7 +1052,8 @@ impl Network {
         self.param_count() as f64 * 4.0
     }
 
-    /// The mode the network's storage was materialized for.
+    /// The mode the network was built for (storage layout and, in
+    /// inference, the plan options).
     pub fn mode(&self) -> ExecMode {
         self.mode
     }
@@ -1910,7 +1884,7 @@ impl Network {
 
     /// Numeric execution mode the network's conv plans were built for.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.mode.precision()
     }
 
     /// Number of convolution nodes in the compiled graph.
@@ -1983,6 +1957,20 @@ fn he_init_filter(w: &mut BlockedFilter, rng: &mut SplitMix64) {
 mod tests {
     use super::*;
     use crate::parser::parse_topology;
+
+    /// The default serving mode: BN folded, heuristic blocking, f32.
+    fn inference() -> ExecMode {
+        ExecMode::Inference(InferOpts::default())
+    }
+
+    /// The unfused reference: every BN a standalone frozen-stats pass.
+    fn unfused() -> ExecMode {
+        ExecMode::Inference(InferOpts { fold_bn: false, ..InferOpts::default() })
+    }
+
+    fn int8() -> ExecMode {
+        ExecMode::Inference(InferOpts { precision: Precision::Int8, ..InferOpts::default() })
+    }
 
     fn small_cnn() -> ModelSpec {
         parse_topology(
@@ -2081,7 +2069,7 @@ mod tests {
         let mut train =
             Network::build_with(&nl, 8, Arc::clone(&pool), ExecMode::Training, &cache).unwrap();
         let mut infer =
-            Network::build_with(&nl, 8, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+            Network::build_with(&nl, 8, Arc::clone(&pool), inference(), &cache).unwrap();
         let first_build_misses = cache.misses();
         // the second build must not have JIT'd anything new
         assert_eq!(first_build_misses, 2, "two distinct conv layers in the topology");
@@ -2109,11 +2097,11 @@ mod tests {
             &nl,
             4,
             Arc::new(ThreadPool::new(2)),
-            ExecMode::Inference,
+            inference(),
             &PlanCache::new(),
         )
         .unwrap();
-        assert_eq!(infer.mode(), ExecMode::Inference);
+        assert_eq!(infer.mode(), inference());
         assert_eq!(infer.gradient_blob_count(), 0, "no gradient blobs in inference");
         assert_eq!(infer.training_state_bytes(), 0, "no dW/momentum/scratch in inference");
         let train = Network::build(&nl, 4, 2).unwrap();
@@ -2141,8 +2129,7 @@ mod tests {
         let pool = Arc::new(ThreadPool::new(2));
         let train =
             Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Training, &cache).unwrap();
-        let infer =
-            Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+        let infer = Network::build_with(&nl, 2, Arc::clone(&pool), inference(), &cache).unwrap();
         assert!(
             infer.activation_slot_count() < train.activation_slot_count(),
             "liveness plan must share buffers: {} vs {}",
@@ -2195,10 +2182,9 @@ mod tests {
         let sd = train.state_dict();
 
         let mut fused =
-            Network::build_with(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+            Network::build_with(&nl, 4, Arc::clone(&pool), inference(), &cache).unwrap();
         let mut unfused =
-            Network::build_with_fold(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-                .unwrap();
+            Network::build_with(&nl, 4, Arc::clone(&pool), unfused(), &cache).unwrap();
         // b0/b1 fold; b2's residual (b0's blob) carries physical pad 1
         // for the 3×3 conv c1 while b2's own output is pad-0, so the
         // geometry gate keeps b2 a standalone frozen-stats pass — the
@@ -2260,10 +2246,9 @@ mod tests {
         let sd = train.state_dict();
 
         let mut fused =
-            Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+            Network::build_with(&nl, 2, Arc::clone(&pool), inference(), &cache).unwrap();
         let mut unfused =
-            Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-                .unwrap();
+            Network::build_with(&nl, 2, Arc::clone(&pool), unfused(), &cache).unwrap();
         assert_eq!(fused.folded_bn_count(), 3, "all BNs fold, including the residual join");
         // the fused-plan flavour is observable through the cache
         let stats = cache.stats();
@@ -2294,8 +2279,7 @@ mod tests {
         let pool = Arc::new(ThreadPool::new(2));
         let mut a =
             Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Training, &cache).unwrap();
-        let _infer =
-            Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+        let _infer = Network::build_with(&nl, 2, Arc::clone(&pool), inference(), &cache).unwrap();
         let mut b =
             Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Training, &cache).unwrap();
         assert_eq!(a.folded_bn_count(), 0, "training mode never folds");
@@ -2322,7 +2306,7 @@ mod tests {
         let cache = PlanCache::new();
         let pool = Arc::new(ThreadPool::new(2));
         let mut infer =
-            Network::build_with(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+            Network::build_with(&nl, 4, Arc::clone(&pool), inference(), &cache).unwrap();
         let (c, h, w) = infer.input_dims();
         let mut rng = SplitMix64::new(17);
         let mut samples = vec![0.0f32; 4 * c * h * w];
@@ -2346,7 +2330,7 @@ mod tests {
             &small_cnn(),
             2,
             Arc::new(ThreadPool::new(1)),
-            ExecMode::Inference,
+            inference(),
             &PlanCache::new(),
         )
         .unwrap();
@@ -2434,7 +2418,7 @@ mod tests {
         // inference-mode forwards leave the stats frozen
         let cache = PlanCache::new();
         let pool = Arc::new(ThreadPool::new(1));
-        let mut infer = Network::build_with(&spec, 2, pool, ExecMode::Inference, &cache).unwrap();
+        let mut infer = Network::build_with(&spec, 2, pool, inference(), &cache).unwrap();
         rng.fill_f32(infer.input_mut().as_mut_slice());
         infer.forward();
         assert!(mean_of(&infer).iter().all(|&m| m == 0.0), "inference must not accumulate");
@@ -2509,18 +2493,8 @@ mod tests {
         let (sd, input, labels) = trained_residual(&pool, &cache);
 
         let mut f32_net =
-            Network::build_with(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
-        let mut int8 = Network::build_quantized(
-            &nl,
-            4,
-            Arc::clone(&pool),
-            ExecMode::Inference,
-            &cache,
-            true,
-            conv::TuneLevel::Heuristic,
-            Precision::Int8,
-        )
-        .unwrap();
+            Network::build_with(&nl, 4, Arc::clone(&pool), inference(), &cache).unwrap();
+        let mut int8 = Network::build_with(&nl, 4, Arc::clone(&pool), int8(), &cache).unwrap();
         assert_eq!(int8.precision(), Precision::Int8);
         assert_eq!(f32_net.precision(), Precision::F32);
         assert_eq!(f32_net.quantized_conv_count(), 0);
@@ -2557,17 +2531,7 @@ mod tests {
         let nl = small_cnn();
         let cache = PlanCache::new();
         let pool = Arc::new(ThreadPool::new(2));
-        let mut int8 = Network::build_quantized(
-            &nl,
-            2,
-            Arc::clone(&pool),
-            ExecMode::Inference,
-            &cache,
-            true,
-            conv::TuneLevel::Heuristic,
-            Precision::Int8,
-        )
-        .unwrap();
+        let mut int8 = Network::build_with(&nl, 2, Arc::clone(&pool), int8(), &cache).unwrap();
         assert_eq!(int8.conv_node_count(), 2);
         assert_eq!(int8.quantized_conv_count(), 1, "only the input-fed conv can derive scales");
         assert!(int8.conv_input_scales("c1").is_some());
@@ -2595,17 +2559,7 @@ mod tests {
         let cache = PlanCache::new();
         let pool = Arc::new(ThreadPool::new(2));
         let (sd, input, _) = trained_residual(&pool, &cache);
-        let mut int8 = Network::build_quantized(
-            &nl,
-            4,
-            Arc::clone(&pool),
-            ExecMode::Inference,
-            &cache,
-            true,
-            conv::TuneLevel::Heuristic,
-            Precision::Int8,
-        )
-        .unwrap();
+        let mut int8 = Network::build_with(&nl, 4, Arc::clone(&pool), int8(), &cache).unwrap();
         int8.load_state_dict(&sd).unwrap();
         int8.input_mut().as_mut_slice().copy_from_slice(&input);
         let derived = int8.derived_amax_of("b0").expect("b0 folds, range derives").to_vec();
@@ -2638,17 +2592,7 @@ mod tests {
             }
             dead.insert(name, e.dims.clone(), data).unwrap();
         }
-        let mut int8 = Network::build_quantized(
-            &nl,
-            4,
-            Arc::clone(&pool),
-            ExecMode::Inference,
-            &cache,
-            true,
-            conv::TuneLevel::Heuristic,
-            Precision::Int8,
-        )
-        .unwrap();
+        let mut int8 = Network::build_with(&nl, 4, Arc::clone(&pool), int8(), &cache).unwrap();
         int8.load_state_dict(&dead).unwrap();
         assert_eq!(int8.derived_amax_of("b0").unwrap()[3], 0.0, "channel 3 is dead");
         let scales = int8.conv_input_scales("c1").expect("c1 still quantizes");
@@ -2662,23 +2606,5 @@ mod tests {
         let scales = int8.conv_input_scales("c1").unwrap();
         assert!(scales.iter().all(|s| s.is_finite() && *s > 0.0));
         assert!(int8.forward().loss.is_finite());
-    }
-
-    #[test]
-    fn int8_training_is_rejected() {
-        let r = Network::build_quantized(
-            &small_cnn(),
-            2,
-            Arc::new(ThreadPool::new(1)),
-            ExecMode::Training,
-            &PlanCache::new(),
-            true,
-            conv::TuneLevel::Heuristic,
-            Precision::Int8,
-        );
-        match r {
-            Err(e) => assert!(e.to_string().contains("inference mode"), "{e}"),
-            Ok(_) => panic!("int8 training build must be rejected"),
-        }
     }
 }

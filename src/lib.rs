@@ -65,6 +65,7 @@ pub mod daemon;
 pub mod fault;
 pub mod serve;
 
+use gxm::InferOpts;
 use std::sync::Arc;
 
 /// One batch's worth of inference results.
@@ -132,15 +133,7 @@ impl InferenceSession {
     /// still normalizes with frozen statistics — so bn-graph
     /// predictions are independent of batch composition.
     pub fn new(model: impl IntoModelSpec, minibatch: usize, threads: usize) -> Result<Self, Error> {
-        if threads == 0 {
-            return Err(Error::BadInput("threads must be >= 1".to_string()));
-        }
-        Self::with_shared(
-            model,
-            minibatch,
-            Arc::new(parallel::ThreadPool::new(threads)),
-            conv::PlanCache::new(),
-        )
+        Self::private(model, minibatch, threads, InferOpts::default())
     }
 
     /// Build a session with the BN fusion pass *disabled*: every BN
@@ -153,54 +146,28 @@ impl InferenceSession {
         minibatch: usize,
         threads: usize,
     ) -> Result<Self, Error> {
-        if threads == 0 {
-            return Err(Error::BadInput("threads must be >= 1".to_string()));
-        }
-        Self::build(
+        Self::private(
             model,
             minibatch,
-            Arc::new(parallel::ThreadPool::new(threads)),
-            conv::PlanCache::new(),
-            false,
-            TuneLevel::Heuristic,
-            Precision::F32,
+            threads,
+            InferOpts { fold_bn: false, ..InferOpts::default() },
         )
     }
 
     /// Build a session sharing `pool` and `cache` with other sessions
     /// (the cache dedupes JIT + dryrun work across all of them).
-    pub fn with_shared(
-        model: impl IntoModelSpec,
-        minibatch: usize,
-        pool: Arc<parallel::ThreadPool>,
-        cache: conv::PlanCache,
-    ) -> Result<Self, Error> {
-        Self::build(model, minibatch, pool, cache, true, TuneLevel::Heuristic, Precision::F32)
-    }
-
-    /// [`Self::with_shared`] with the plan-time autotuner enabled:
-    /// every convolution's blocking is chosen at `tune` level
-    /// (model-ranked search, optionally micro-bench-measured on
-    /// `pool`), with winners memoized in `cache` so replicas and
-    /// repeated builds never re-tune. See [`conv::tune`].
-    pub fn with_shared_tuned(
-        model: impl IntoModelSpec,
-        minibatch: usize,
-        pool: Arc<parallel::ThreadPool>,
-        cache: conv::PlanCache,
-        tune: TuneLevel,
-    ) -> Result<Self, Error> {
-        Self::build(model, minibatch, pool, cache, true, tune, Precision::F32)
-    }
-
-    /// [`Self::with_shared_tuned`] with the numeric execution mode made
-    /// explicit. At [`Precision::Int8`] every convolution whose input
-    /// range is derivable (from folded-BN statistics, or measured via
-    /// [`Self::calibrate`]) executes the paper's Section II-K
-    /// reduced-precision path — quantize → int8/VNNI convolution →
-    /// fused requantize — while underivable nodes fall back to their
-    /// f32 plans (DESIGN.md §11). [`Precision::F32`] is exactly
-    /// [`Self::with_shared_tuned`].
+    ///
+    /// `tune` enables the plan-time autotuner: every convolution's
+    /// blocking is chosen at that level (model-ranked search,
+    /// optionally micro-bench-measured on `pool`), with winners
+    /// memoized in `cache` so replicas and repeated builds never
+    /// re-tune (see [`conv::tune`]; [`TuneLevel::Heuristic`] is the
+    /// untuned rule). At [`Precision::Int8`] every convolution whose
+    /// input range is derivable (from folded-BN statistics, or
+    /// measured via [`Self::calibrate`]) executes the paper's Section
+    /// II-K reduced-precision path — quantize → int8/VNNI convolution
+    /// → fused requantize — while underivable nodes fall back to their
+    /// f32 plans (DESIGN.md §11).
     pub fn with_shared_quantized(
         model: impl IntoModelSpec,
         minibatch: usize,
@@ -209,29 +176,35 @@ impl InferenceSession {
         tune: TuneLevel,
         precision: Precision,
     ) -> Result<Self, Error> {
-        Self::build(model, minibatch, pool, cache, true, tune, precision)
+        Self::build(model, minibatch, pool, cache, InferOpts { tune, precision, fold_bn: true })
     }
 
-    fn build(
+    /// A session on a private `threads`-wide pool and a private cache.
+    fn private(
+        model: impl IntoModelSpec,
+        minibatch: usize,
+        threads: usize,
+        opts: InferOpts,
+    ) -> Result<Self, Error> {
+        if threads == 0 {
+            return Err(Error::BadInput("threads must be >= 1".to_string()));
+        }
+        let pool = Arc::new(parallel::ThreadPool::new(threads));
+        Self::build(model, minibatch, pool, conv::PlanCache::new(), opts)
+    }
+
+    /// The one build path behind every constructor (and the serving
+    /// layer's replica factory).
+    pub(crate) fn build(
         model: impl IntoModelSpec,
         minibatch: usize,
         pool: Arc<parallel::ThreadPool>,
         cache: conv::PlanCache,
-        fold_bn: bool,
-        tune: TuneLevel,
-        precision: Precision,
+        opts: InferOpts,
     ) -> Result<Self, Error> {
         let spec = model.into_model_spec()?;
-        let net = gxm::Network::build_quantized(
-            &spec,
-            minibatch,
-            Arc::clone(&pool),
-            gxm::ExecMode::Inference,
-            &cache,
-            fold_bn,
-            tune,
-            precision,
-        )?;
+        let mode = gxm::ExecMode::Inference(opts);
+        let net = gxm::Network::build_with(&spec, minibatch, Arc::clone(&pool), mode, &cache)?;
         Ok(Self { net, pool, cache })
     }
 

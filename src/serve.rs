@@ -44,10 +44,10 @@
 //! panic fails **only the in-flight batch's requests** (each waiter
 //! gets a typed [`Error::Serve`] naming the replica panic), the panic
 //! is counted in [`ServerStats::replica_panics`], and the replica
-//! thread rebuilds its [`InferenceSession`] — through the same shared
-//! [`PlanCache`], re-applying the current [`HotSwap`] weight
-//! generation and any int8 calibration — under capped exponential
-//! backoff. After [`ServeConfig::max_restart_attempts`] consecutive
+//! thread rebuilds its [`InferenceSession`] with the function that
+//! built it at start-up — through the same shared [`PlanCache`],
+//! re-applying the current [`HotSwap`] weight generation and any int8
+//! calibration — under capped exponential backoff. After [`ServeConfig::max_restart_attempts`] consecutive
 //! rebuild failures the frontend enters a **terminal Failed state**
 //! ([`ServerStats::failed`]): the queue is drained (every queued
 //! request fails typed) and [`BatchingFrontend::submit`] returns an
@@ -63,7 +63,7 @@
 
 use crate::{fault, Error, InferenceOutput, InferenceSession, IntoModelSpec, Precision, StateDict};
 use conv::{CombinedCacheStats, PlanCache};
-use gxm::{HotSwap, ModelSpec};
+use gxm::{HotSwap, InferOpts, ModelSpec};
 use parallel::{pin_current_thread, PoolOptions, ThreadPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -570,48 +570,27 @@ pub struct BatchingFrontend {
 }
 
 impl BatchingFrontend {
-    /// Build a frontend with a private [`PlanCache`]. `model` is
-    /// anything [`IntoModelSpec`]: a spec, a builder, or topology
-    /// text.
+    /// Build a frontend with a private [`PlanCache`] serving the
+    /// model's initial weights. `model` is anything [`IntoModelSpec`]:
+    /// a spec, a builder, or topology text.
     pub fn new(model: impl IntoModelSpec, cfg: ServeConfig) -> Result<Self, Error> {
-        Self::with_cache(model, cfg, PlanCache::new())
+        Self::with_cache_and_weights(model, cfg, PlanCache::new(), None)
     }
 
-    /// Build a frontend serving trained weights: every replica loads
-    /// `weights` (a [`StateDict`] exported by
-    /// [`gxm::Network::state_dict`]) before serving. Replicas are
-    /// deterministic in the weights alone — every replica serves the
-    /// identical bits, and bn-graph predictions use the dict's frozen
-    /// running statistics (batch-composition-independent).
-    pub fn with_weights(
-        model: impl IntoModelSpec,
-        cfg: ServeConfig,
-        weights: &StateDict,
-    ) -> Result<Self, Error> {
-        let spec = model.into_model_spec()?;
-        Self::build(&spec, cfg, PlanCache::new(), Some(weights))
-    }
-
-    /// Build a frontend whose replicas plan through `cache` (share one
-    /// cache across frontends to JIT each distinct layer shape once
-    /// per process).
+    /// Build a frontend whose replicas plan through `cache` and start
+    /// from `weights` — the constructor a multi-model host uses so
+    /// every hosted frontend plans through one shared cache *and*
+    /// serves its own trained [`StateDict`].
     ///
     /// All replicas are built through the same cache with identical
     /// thread counts, so replica 1..N hit the plans replica 0 built:
-    /// N replicas cost one JIT + dryrun pass.
-    pub fn with_cache(
-        model: impl IntoModelSpec,
-        cfg: ServeConfig,
-        cache: PlanCache,
-    ) -> Result<Self, Error> {
-        let spec = model.into_model_spec()?;
-        Self::build(&spec, cfg, cache, None)
-    }
-
-    /// [`Self::with_cache`] plus optional initial weights — the
-    /// constructor a multi-model host uses so every hosted frontend
-    /// plans through one shared cache *and* starts from its own
-    /// trained [`StateDict`].
+    /// N replicas cost one JIT + dryrun pass (share one cache across
+    /// frontends to JIT each distinct layer shape once per process).
+    /// Every replica loads `weights` (a [`StateDict`] exported by
+    /// [`gxm::Network::state_dict`]) before serving; replicas are
+    /// deterministic in the weights alone — every replica serves the
+    /// identical bits, and bn-graph predictions use the dict's frozen
+    /// running statistics (batch-composition-independent).
     pub fn with_cache_and_weights(
         model: impl IntoModelSpec,
         cfg: ServeConfig,
@@ -619,15 +598,6 @@ impl BatchingFrontend {
         weights: Option<&StateDict>,
     ) -> Result<Self, Error> {
         let spec = model.into_model_spec()?;
-        Self::build(&spec, cfg, cache, weights)
-    }
-
-    fn build(
-        spec: &ModelSpec,
-        cfg: ServeConfig,
-        cache: PlanCache,
-        weights: Option<&StateDict>,
-    ) -> Result<Self, Error> {
         if cfg.replicas == 0 || cfg.threads_per_replica == 0 || cfg.minibatch == 0 {
             return Err(Error::BadInput(
                 "replicas, threads_per_replica and minibatch must be >= 1".to_string(),
@@ -639,42 +609,35 @@ impl BatchingFrontend {
                 cfg.queue_cap, cfg.minibatch
             )));
         }
+        let swap = Arc::new(HotSwap::new());
+        let calibration = Arc::new(if cfg.precision == Precision::Int8 {
+            cfg.calibration.clone()
+        } else {
+            Vec::new()
+        });
+        let initial_weights = weights.map(|w| Arc::new(w.clone()));
         // Build every session up front (cheap after the first: shared
-        // plan cache), then move each into its replica thread.
-        let mut sessions = Vec::with_capacity(cfg.replicas);
+        // plan cache), then move each into its replica thread together
+        // with the factory that rebuilds it after a panic.
+        let mut replicas = Vec::with_capacity(cfg.replicas);
         for r in 0..cfg.replicas {
-            let mut opts =
-                PoolOptions::new(cfg.threads_per_replica).with_name(format!("serve-r{r}"));
-            opts = if cfg.pin_replicas {
-                opts.with_core_offset(r * cfg.threads_per_replica)
-            } else {
-                opts.without_pinning()
+            let factory = ReplicaFactory {
+                spec: spec.clone(),
+                minibatch: cfg.minibatch,
+                threads: cfg.threads_per_replica,
+                pin_offset: cfg.pin_replicas.then_some(r * cfg.threads_per_replica),
+                pool_name: format!("serve-r{r}"),
+                cache: cache.clone(),
+                opts: InferOpts { tune: cfg.tune, precision: cfg.precision, fold_bn: true },
+                initial_weights: initial_weights.clone(),
+                swap: Arc::clone(&swap),
+                calibration: Arc::clone(&calibration),
             };
-            let pool = Arc::new(ThreadPool::with_options(opts));
-            let mut session = InferenceSession::with_shared_quantized(
-                spec,
-                cfg.minibatch,
-                pool,
-                cache.clone(),
-                cfg.tune,
-                cfg.precision,
-            )?;
-            if let Some(sd) = weights {
-                session.load_state_dict(sd)?;
-            }
-            if cfg.precision == Precision::Int8 && !cfg.calibration.is_empty() {
-                let se = session.sample_elems();
-                if !cfg.calibration.len().is_multiple_of(se) {
-                    return Err(Error::BadInput(format!(
-                        "calibration must be a multiple of sample_elems ({se}) f32s, got {}",
-                        cfg.calibration.len()
-                    )));
-                }
-                session.calibrate(&cfg.calibration, cfg.calibration.len() / se)?;
-            }
-            sessions.push(session);
+            let (session, _) = factory.build()?;
+            replicas.push((session, factory));
         }
-        let schema: Vec<(String, Vec<usize>)> = sessions[0]
+        let first = &replicas[0].0;
+        let schema: Vec<(String, Vec<usize>)> = first
             .network()
             .state_dict()
             .iter()
@@ -688,19 +651,14 @@ impl BatchingFrontend {
             failed: AtomicBool::new(false),
             counters: Arc::new(ServeCounters::default()),
             stats: Mutex::new(StatsInner::default()),
-            swap: Arc::new(HotSwap::new()),
-            sample_elems: sessions[0].sample_elems(),
+            swap,
+            sample_elems: first.sample_elems(),
             minibatch: cfg.minibatch,
-            classes: sessions[0].classes(),
+            classes: first.classes(),
             queue_cap: cfg.queue_cap,
             precision: cfg.precision,
-            calibration: Arc::new(if cfg.precision == Precision::Int8 {
-                cfg.calibration.clone()
-            } else {
-                Vec::new()
-            }),
+            calibration,
         });
-        let initial_weights = weights.map(|w| Arc::new(w.clone()));
         let restart = RestartPolicy {
             max_attempts: cfg.max_restart_attempts,
             backoff: cfg.restart_backoff,
@@ -708,30 +666,18 @@ impl BatchingFrontend {
         };
         let mut txs = Vec::with_capacity(cfg.replicas);
         let mut workers = Vec::with_capacity(cfg.replicas);
-        for (r, session) in sessions.into_iter().enumerate() {
+        for (r, (session, factory)) in replicas.into_iter().enumerate() {
             // bound 1: the dispatcher stays at most one batch ahead of
             // each replica, which keeps round-robin assignment fair
             // and bounds queued-but-undelivered work
             let (tx, rx) = sync_channel::<Vec<Pending>>(1);
             let sh = Arc::clone(&shared);
-            let pin = cfg.pin_replicas.then_some(r * cfg.threads_per_replica);
-            let factory = ReplicaFactory {
-                spec: spec.clone(),
-                minibatch: cfg.minibatch,
-                threads: cfg.threads_per_replica,
-                pin_offset: pin,
-                pool_name: format!("serve-r{r}"),
-                cache: cache.clone(),
-                tune: cfg.tune,
-                precision: cfg.precision,
-                initial_weights: initial_weights.clone(),
-            };
             let handle = std::thread::Builder::new()
                 .name(format!("serve-replica-{r}"))
                 .spawn(move || {
                     // the replica thread participates in its pool's
                     // regions as tid 0 — keep it on the team's range
-                    if let Some(core) = pin {
+                    if let Some(core) = factory.pin_offset {
                         pin_current_thread(core);
                     }
                     replica_loop(session, rx, sh, factory, restart);
@@ -1086,10 +1032,11 @@ impl Drop for BatchingFrontend {
     }
 }
 
-/// Everything a replica thread needs to rebuild its session after a
-/// panic: the spec, the pool shape, the shared plan cache, and the
-/// initial weights (used only until the first hot-swap publish — a
-/// rebuild always prefers the freshest published generation).
+/// Everything needed to build one replica's session — at start-up and
+/// again after a panic: the spec, the pool shape, the shared plan
+/// cache, the plan options, the initial weights (used only until the
+/// first hot-swap publish — a build always prefers the freshest
+/// published generation) and the int8 calibration samples.
 struct ReplicaFactory {
     spec: ModelSpec,
     minibatch: usize,
@@ -1097,43 +1044,47 @@ struct ReplicaFactory {
     pin_offset: Option<usize>,
     pool_name: String,
     cache: PlanCache,
-    tune: conv::TuneLevel,
-    precision: Precision,
+    opts: InferOpts,
     initial_weights: Option<Arc<StateDict>>,
+    swap: Arc<HotSwap>,
+    /// Empty at f32 or when none were supplied.
+    calibration: Arc<Vec<f32>>,
 }
 
 impl ReplicaFactory {
-    /// Rebuild a crashed replica's session from scratch: fresh thread
-    /// pool (same name/pinning — the old pool may have died with the
-    /// panic), a session planned through the shared cache (so the
-    /// rebuild costs no new JIT of already-planned shapes), the
-    /// current weights, and re-calibration at int8. Returns the
-    /// session and the weight generation it serves.
-    fn rebuild(&self, shared: &Shared) -> Result<(InferenceSession, u64), Error> {
-        fault::point("replica.rebuild");
-        let mut opts = PoolOptions::new(self.threads).with_name(self.pool_name.clone());
-        opts = match self.pin_offset {
+    /// Build the replica's session from scratch: a fresh thread pool
+    /// (named and pinned — after a panic the old pool may have died
+    /// with it), a session planned through the shared cache (so only
+    /// the first replica's first build JITs), the current weights, and
+    /// calibration at int8. Returns the session and the weight
+    /// generation it serves.
+    fn build(&self) -> Result<(InferenceSession, u64), Error> {
+        let opts = PoolOptions::new(self.threads).with_name(self.pool_name.clone());
+        let opts = match self.pin_offset {
             Some(off) => opts.with_core_offset(off),
             None => opts.without_pinning(),
         };
         let pool = Arc::new(ThreadPool::with_options(opts));
-        let mut session = InferenceSession::with_shared_quantized(
+        let mut session = InferenceSession::build(
             &self.spec,
             self.minibatch,
             pool,
             self.cache.clone(),
-            self.tune,
-            self.precision,
+            self.opts,
         )?;
-        let (published, gen) = shared.swap.snapshot();
-        if let Some(sd) = &published {
-            session.load_state_dict(sd)?;
-        } else if let Some(sd) = &self.initial_weights {
+        let (published, gen) = self.swap.snapshot();
+        if let Some(sd) = published.as_deref().or(self.initial_weights.as_deref()) {
             session.load_state_dict(sd)?;
         }
-        if !shared.calibration.is_empty() {
-            let n = shared.calibration.len() / shared.sample_elems;
-            session.calibrate(&shared.calibration, n)?;
+        if !self.calibration.is_empty() {
+            let se = session.sample_elems();
+            if !self.calibration.len().is_multiple_of(se) {
+                return Err(Error::BadInput(format!(
+                    "calibration must be a multiple of sample_elems ({se}) f32s, got {}",
+                    self.calibration.len()
+                )));
+            }
+            session.calibrate(&self.calibration, self.calibration.len() / se)?;
         }
         Ok((session, gen))
     }
@@ -1317,7 +1268,11 @@ fn replica_loop(
             }
             sleep_unless_shutdown(&shared, delay);
             attempts += 1;
-            match catch_unwind(AssertUnwindSafe(|| factory.rebuild(&shared))) {
+            let rebuilt = catch_unwind(AssertUnwindSafe(|| {
+                fault::point("replica.rebuild");
+                factory.build()
+            }));
+            match rebuilt {
                 Ok(Ok((fresh, gen))) => {
                     // assignment drops the crashed session (and its
                     // pool) now that the replacement is live

@@ -12,7 +12,7 @@
 
 use anatomy::conv::PlanCache;
 use anatomy::parallel::ThreadPool;
-use anatomy::{ConvOpts, GraphBuilder, InferenceSession, ModelSpec, TuneLevel};
+use anatomy::{ConvOpts, GraphBuilder, InferenceSession, ModelSpec, Precision, TuneLevel};
 use std::sync::Arc;
 
 fn model() -> ModelSpec {
@@ -47,8 +47,15 @@ fn tuned_sessions_predict_like_the_heuristic() {
 
     for level in [TuneLevel::Model, TuneLevel::Measured] {
         let pool = Arc::new(ThreadPool::new(2));
-        let mut tuned =
-            InferenceSession::with_shared_tuned(&spec, 2, pool, PlanCache::new(), level).unwrap();
+        let mut tuned = InferenceSession::with_shared_quantized(
+            &spec,
+            2,
+            pool,
+            PlanCache::new(),
+            level,
+            Precision::F32,
+        )
+        .unwrap();
         let got = tuned.run(&input).unwrap();
         assert_eq!(got.top1, want.top1, "{level:?} changed predictions");
         for (a, b) in got.probs.iter().zip(&want.probs) {
@@ -68,9 +75,15 @@ fn replicas_share_one_tuning_search() {
     // two "replicas": same model, same thread count, shared cache
     for _ in 0..2 {
         let pool = Arc::new(ThreadPool::new(2));
-        let _ =
-            InferenceSession::with_shared_tuned(&spec, 2, pool, cache.clone(), TuneLevel::Model)
-                .unwrap();
+        let _ = InferenceSession::with_shared_quantized(
+            &spec,
+            2,
+            pool,
+            cache.clone(),
+            TuneLevel::Model,
+            Precision::F32,
+        )
+        .unwrap();
     }
     let stats = cache.stats();
     // distinct conv shapes in `model()`: c1, c2, c3 → 3 searches, once
@@ -84,8 +97,15 @@ fn restart_with_tuning_file_never_micro_benches() {
     let spec = model();
     let cache = PlanCache::new();
     let pool = Arc::new(ThreadPool::new(2));
-    let _ = InferenceSession::with_shared_tuned(&spec, 2, pool, cache.clone(), TuneLevel::Model)
-        .unwrap();
+    let _ = InferenceSession::with_shared_quantized(
+        &spec,
+        2,
+        pool,
+        cache.clone(),
+        TuneLevel::Model,
+        Precision::F32,
+    )
+    .unwrap();
     let first = cache.stats();
     assert_eq!(first.tune_runs, 3);
 
@@ -99,9 +119,15 @@ fn restart_with_tuning_file_never_micro_benches() {
     let restarted = PlanCache::new();
     assert_eq!(restarted.load_tuning(&path).unwrap(), 3);
     let pool = Arc::new(ThreadPool::new(2));
-    let mut session =
-        InferenceSession::with_shared_tuned(&spec, 2, pool, restarted.clone(), TuneLevel::Model)
-            .unwrap();
+    let mut session = InferenceSession::with_shared_quantized(
+        &spec,
+        2,
+        pool,
+        restarted.clone(),
+        TuneLevel::Model,
+        Precision::F32,
+    )
+    .unwrap();
     let stats = restarted.stats();
     assert_eq!(stats.tune_runs, 0, "restart re-tuned");
     assert_eq!(stats.tune_micro_runs, 0, "restart micro-benched");

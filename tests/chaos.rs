@@ -9,11 +9,14 @@
 //! the structural assertions hold for any seed.
 #![cfg(feature = "chaos")]
 
+use anatomy::conv::PlanCache;
 use anatomy::daemon::{Client, ClientConfig, Daemon, DaemonConfig, ModelConfig, RetryPolicy};
 use anatomy::fault::{self, FaultAction, FaultPlan};
+use anatomy::gxm::Network;
+use anatomy::parallel::ThreadPool;
 use anatomy::serve::{BatchingFrontend, ServeConfig};
-use anatomy::{Error, InferenceSession};
-use std::sync::{Mutex, MutexGuard, Once};
+use anatomy::{Error, InferenceSession, ModelSpec, Precision, StateDict, TuneLevel};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
 fn tiny_topology() -> &'static str {
@@ -76,8 +79,11 @@ fn chaos_guard() -> MutexGuard<'static, ()> {
             }
         }));
     });
+    // take the lock *before* clearing: clearing first would disarm the
+    // plan of whichever test currently holds the lock
+    let guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
-    CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    guard
 }
 
 /// The textual plan grammar (the `ANATOMY_FAULT_PLAN` surface)
@@ -235,6 +241,82 @@ fn restart_exhaustion_enters_terminal_failed_state() {
     assert!(stats.failed);
     assert!(stats.replica_panics > 0);
     assert_eq!(stats.replica_restarts, 0, "no rebuild ever succeeded");
+}
+
+/// An int8 replica rebuilt after a panic must come back exactly as it
+/// started: the served weights *and* the calibrated activation ranges.
+/// Replies after the rebuild are bit-identical to an unfaulted session
+/// loaded and calibrated the same way.
+#[test]
+fn int8_rebuild_reapplies_weights_and_calibration() {
+    let _guard = chaos_guard();
+    let minibatch = 2;
+    // weights that differ from the spec's initial ones, and calibration
+    // samples whose range (≈ ±0.25) differs from the assumed |x| <= 1
+    // input bound — so skipping either step changes the replies
+    let spec = ModelSpec::parse(tiny_topology()).unwrap();
+    let mut weights = StateDict::new();
+    for (name, e) in Network::build(&spec, minibatch, 1).unwrap().state_dict().iter() {
+        let data = e.data.iter().map(|v| 1.5 * v + 0.01).collect();
+        weights.insert(name, e.dims.clone(), data).unwrap();
+    }
+    let calib: Vec<f32> = random_images(4, 0xCA1 ^ chaos_seed()).iter().map(|v| 0.25 * v).collect();
+    let int8_session = |calibrate: bool| {
+        let mut s = InferenceSession::with_shared_quantized(
+            &spec,
+            minibatch,
+            Arc::new(ThreadPool::new(1)),
+            PlanCache::new(),
+            TuneLevel::Heuristic,
+            Precision::Int8,
+        )
+        .unwrap();
+        s.load_state_dict(&weights).unwrap();
+        if calibrate {
+            s.calibrate(&calib, 4).unwrap();
+        }
+        s
+    };
+    let mut direct = int8_session(true);
+
+    let cfg = ServeConfig::new(1, 1, minibatch)
+        .with_max_wait(Duration::from_millis(1))
+        .with_pinning(false)
+        .with_precision(Precision::Int8)
+        .with_calibration(calib.clone())
+        .with_restart_policy(10, Duration::from_millis(1), Duration::from_millis(10));
+    let frontend =
+        BatchingFrontend::with_cache_and_weights(&spec, cfg, PlanCache::new(), Some(&weights))
+            .unwrap();
+    fault::install(&FaultPlan::seeded(chaos_seed()).entry(
+        "replica.batch",
+        FaultAction::Panic,
+        "first1",
+    ));
+    let images = random_images(8, 0x1E8 ^ chaos_seed());
+    let err = frontend
+        .submit(&images[..SAMPLE])
+        .unwrap()
+        .wait_timeout(Duration::from_secs(30))
+        .expect_err("the poisoned batch must fail its request");
+    assert!(matches!(err, Error::Serve(_)), "got {err:?}");
+    fault::clear();
+
+    // every later batch runs on the rebuilt session
+    let mut uncalibrated = int8_session(false);
+    let mut calibration_matters = false;
+    for i in 0..8 {
+        let sample = &images[i * SAMPLE..(i + 1) * SAMPLE];
+        let out = frontend.infer(sample).unwrap();
+        let (probs, top1) = expected_single(&mut direct, sample, minibatch);
+        assert_eq!(out.probs, probs, "sample {i}: rebuilt int8 replica must stay bit-exact");
+        assert_eq!(out.top1, vec![top1]);
+        calibration_matters |= expected_single(&mut uncalibrated, sample, minibatch).0 != probs;
+    }
+    assert!(calibration_matters, "the check must be able to see a missing calibration");
+    let stats = frontend.shutdown();
+    assert_eq!(stats.replica_panics, 1);
+    assert_eq!(stats.replica_restarts, 1, "the replica must have been rebuilt");
 }
 
 /// Daemon end-to-end: a retrying client completes its whole workload

@@ -14,13 +14,27 @@
 //! * the `InferenceSession` facade serves batches end to end.
 
 use anatomy::conv::PlanCache;
-use anatomy::gxm::{parse_topology, ExecMode, Network, NodeSpec};
+use anatomy::gxm::{parse_topology, ExecMode, InferOpts, Network, NodeSpec};
 use anatomy::parallel::ThreadPool;
 use anatomy::tensor::rng::SplitMix64;
 use anatomy::tensor::ConvShape;
-use anatomy::InferenceSession;
+use anatomy::{InferenceSession, Precision, TuneLevel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// The serving mode: BN folded, heuristic blocking, f32.
+const FUSED: ExecMode = ExecMode::Inference(InferOpts {
+    fold_bn: true,
+    tune: TuneLevel::Heuristic,
+    precision: Precision::F32,
+});
+
+/// The unfused reference: every BN a standalone frozen-stats pass.
+const UNFUSED: ExecMode = ExecMode::Inference(InferOpts {
+    fold_bn: false,
+    tune: TuneLevel::Heuristic,
+    precision: Precision::F32,
+});
 
 /// Count the distinct normalized conv layers of a topology the same
 /// way a cache key sees them — (ConvShape, input blob padding) — but
@@ -107,8 +121,7 @@ fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
     // the inference build rewrites every Conv→Bn subgraph into a fused
     // convolution: its folded plans (different fuse op / output pad)
     // are new cache entries that must never collide with training's
-    let mut infer =
-        Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+    let mut infer = Network::build_with(&nl, 2, Arc::clone(&pool), FUSED, &cache).unwrap();
     let misses_after_infer = cache.misses();
     assert!(misses_after_infer > distinct, "folded plans are distinct cache entries");
     assert_eq!(
@@ -119,8 +132,7 @@ fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
     assert_eq!(infer.bn_node_count(), 53);
 
     // a second inference build hits every fused plan: zero new JIT
-    let _infer2 =
-        Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+    let _infer2 = Network::build_with(&nl, 2, Arc::clone(&pool), FUSED, &cache).unwrap();
     assert_eq!(cache.misses(), misses_after_infer, "second inference build must JIT nothing");
 
     // zero gradient/momentum allocation in inference
@@ -148,9 +160,7 @@ fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
         train.forward();
     }
     let sd = train.state_dict();
-    let mut reference =
-        Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-            .unwrap();
+    let mut reference = Network::build_with(&nl, 2, Arc::clone(&pool), UNFUSED, &cache).unwrap();
     assert_eq!(reference.folded_bn_count(), 0, "the reference executor keeps BNs standalone");
     infer.load_state_dict(&sd).unwrap();
     reference.load_state_dict(&sd).unwrap();
@@ -173,12 +183,9 @@ fn inception_fused_inference_tracks_unfused_frozen_reference() {
     let pool = Arc::new(ThreadPool::new(4));
     let mut train =
         Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Training, &cache).unwrap();
-    let mut infer =
-        Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
+    let mut infer = Network::build_with(&nl, 2, Arc::clone(&pool), FUSED, &cache).unwrap();
     let misses_after_infer = cache.misses();
-    let mut reference =
-        Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-            .unwrap();
+    let mut reference = Network::build_with(&nl, 2, Arc::clone(&pool), UNFUSED, &cache).unwrap();
     // unfused inference reuses the training plans: no new JIT
     assert_eq!(cache.misses(), misses_after_infer, "unfused build must JIT nothing new");
     assert_eq!(infer.gradient_blob_count(), 0);
@@ -248,7 +255,15 @@ fn inference_session_serves_batches() {
     let misses = session.cache_stats().misses;
     let pool = Arc::clone(session.pool());
     let cache = session.cache().clone();
-    let mut twin = InferenceSession::with_shared(&topo, 2, pool, cache).unwrap();
+    let mut twin = InferenceSession::with_shared_quantized(
+        &topo,
+        2,
+        pool,
+        cache,
+        TuneLevel::Heuristic,
+        Precision::F32,
+    )
+    .unwrap();
     assert_eq!(twin.cache_stats().misses, misses, "shared cache must serve the twin session");
     let out = twin.run(&first).unwrap();
     assert_eq!(out.probs, a.probs, "twin session must reproduce the same outputs");

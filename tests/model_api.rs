@@ -15,7 +15,7 @@
 
 use anatomy::gxm::{data::SyntheticData, Network};
 use anatomy::serve::{BatchingFrontend, ServeConfig};
-use anatomy::{ConvOpts, Error, GraphBuilder, InferenceSession, ModelSpec, StateDict};
+use anatomy::{ConvOpts, Error, GraphBuilder, InferenceSession, ModelSpec, Precision, StateDict};
 use proptest::prelude::*;
 
 /// Assemble a small but structurally varied model from random draws:
@@ -193,6 +193,17 @@ fn construction_paths_are_typed_errors_not_panics() {
         BatchingFrontend::new(ok, ServeConfig::new(0, 1, 1)),
         Err(Error::BadInput(_))
     ));
+    // an admission cap below one batch could never form a full batch
+    assert!(matches!(
+        BatchingFrontend::new(ok, ServeConfig::new(1, 1, 4).with_queue_cap(3)),
+        Err(Error::BadInput(_))
+    ));
+    // int8 calibration must hold whole samples (3 × 4 × 4 = 48 f32s)
+    let ragged = ServeConfig::new(1, 1, 1)
+        .with_pinning(false)
+        .with_precision(Precision::Int8)
+        .with_calibration(vec![0.5; 47]);
+    assert!(matches!(BatchingFrontend::new(ok, ragged), Err(Error::BadInput(_))));
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! documents: an int8 single-image submit is bit-identical to the
 //! same sample inside a full batch.
 
+use anatomy::conv::PlanCache;
 use anatomy::gxm::{parse_topology, ExecMode, ModelSpec, Network};
 use anatomy::serve::{BatchingFrontend, ServeConfig};
 use anatomy::tensor::rng::SplitMix64;
@@ -65,7 +66,7 @@ fn frontend(sd: &StateDict, precision: Precision, calib: &[f32]) -> BatchingFron
     if precision == Precision::Int8 {
         cfg = cfg.with_calibration(calib.to_vec());
     }
-    BatchingFrontend::with_weights(spec(), cfg, sd).unwrap()
+    BatchingFrontend::with_cache_and_weights(spec(), cfg, PlanCache::new(), Some(sd)).unwrap()
 }
 
 #[test]
