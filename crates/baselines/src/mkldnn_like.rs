@@ -10,7 +10,7 @@
 //! and the prefetch arguments point at the *current* sub-tensors.
 
 use crate::ConvBaseline;
-use conv::backend::{Backend, FwdKernel};
+use conv::backend::{Backend, FwdKernel, StreamKernel};
 use conv::blocking;
 use microkernel::KernelShape;
 use parallel::{FlatPartition, ThreadPool};

@@ -5,7 +5,9 @@
 //! layer sweep, and for *every* autotuner candidate blocking
 //! (`conv::tune::candidates`), the bin enumerates the exact kernel
 //! variants a dryrun would generate — main tiles, spatial remainders,
-//! init/accumulate `cb` steps, prefetch on and off — assembles each
+//! init/accumulate `cb` steps, prefetch on and off; the enumerators
+//! derive each variant with the same function the f32 and int16
+//! dryruns use, so one list covers both — assembles each
 //! through all three emitters (f32 forward, f32 weight-update, int16
 //! VNNI), and runs `kver::verify` on the raw bytes: decode, ABI
 //! structure, register discipline, and symbolic memory bounds at every

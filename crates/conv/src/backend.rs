@@ -4,8 +4,9 @@
 //! [`UpdKernel`] / [`QuantKernel`] handles constructed at layer setup.
 //! `Backend::Auto` prefers real runtime code generation (the paper's
 //! mechanism) and falls back to the monomorphized intrinsics family,
-//! then scalar — so the same engine runs anywhere while using the
-//! fastest available implementation.
+//! whose selection tables return the scalar kernels on hosts without
+//! AVX-512 — so the same engine runs anywhere while using the fastest
+//! available implementation.
 //!
 //! Handles are `Arc`-backed: cloning one shares the generated code
 //! buffer instead of re-JITting (the cuDNN-style "handle to a compiled
@@ -16,6 +17,7 @@
 use jit::CodeBuffer;
 use microkernel::{KernelShape, UpdShape};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -88,6 +90,25 @@ fn kernel_cache() -> &'static KernelCache {
     })
 }
 
+/// Look `key` up in one of the code cache's maps, generating the
+/// kernel with `make` (and counting a miss) on first request.
+fn cached_in<S: Eq + Hash, K: Clone>(
+    map: &Mutex<HashMap<(S, Backend), K>>,
+    key: (S, Backend),
+    make: impl FnOnce() -> K,
+) -> K {
+    let cache = kernel_cache();
+    let mut map = map.lock().expect("kernel cache poisoned by a panicking generator");
+    if let Some(k) = map.get(&key) {
+        cache.hits.fetch_add(1, Ordering::Relaxed);
+        return k.clone();
+    }
+    cache.misses.fetch_add(1, Ordering::Relaxed);
+    let k = make();
+    map.insert(key, k.clone());
+    k
+}
+
 /// Counters of the process-wide kernel code cache (all kernel kinds).
 pub fn kernel_cache_stats() -> KernelCacheStats {
     let c = kernel_cache();
@@ -103,6 +124,38 @@ pub fn kernel_cache_stats() -> KernelCacheStats {
 /// compiled out of [`jit::CodeBuffer::from_kernel`]).
 pub fn kernel_verify_stats() -> kver::VerifyStats {
     kver::stats()
+}
+
+/// A convolution microkernel handle over the six-pointer ABI of Section
+/// II-E, generic over its datatype: the dryrun's kernel table and the
+/// stream replay hold these, so the f32 and the int16 forward plans
+/// share one engine ([`crate::fwd::ConvPlan`]).
+pub trait StreamKernel: Sync {
+    /// Element type of the input and weight tensors.
+    type In: Sync;
+    /// Element type of the output (accumulator) tensor.
+    type Out: Send;
+
+    /// Generate/select a kernel for `shape` through the process-wide
+    /// code cache: identical requests share one generated kernel, so
+    /// repeated layer shapes JIT once per process.
+    fn cached(shape: KernelShape, backend: Backend) -> Self;
+
+    /// Invoke the kernel: three compute pointers, then the next
+    /// invocation's three sub-tensors as prefetch hints.
+    ///
+    /// # Safety
+    /// The pointers must be valid for the extents implied by the
+    /// kernel's [`KernelShape`]; `out` must not alias `inp`/`wt`.
+    unsafe fn call(
+        &self,
+        inp: *const Self::In,
+        wt: *const Self::In,
+        out: *mut Self::Out,
+        pf_in: *const Self::In,
+        pf_wt: *const Self::In,
+        pf_out: *const Self::Out,
+    );
 }
 
 enum FwdImpl {
@@ -143,24 +196,6 @@ impl FwdKernel {
         Self { shape, imp: Arc::new(imp) }
     }
 
-    /// As [`FwdKernel::new`] but consulting the process-wide code
-    /// cache: identical `(shape, resolved backend)` requests share one
-    /// generated kernel. Plans use this path so repeated layer shapes
-    /// JIT once per process.
-    pub fn cached(shape: KernelShape, backend: Backend) -> Self {
-        let key = (shape, backend.resolve());
-        let cache = kernel_cache();
-        let mut map = cache.fwd.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, key.1);
-        map.insert(key, k.clone());
-        k
-    }
-
     /// The descriptor this kernel was generated for.
     #[inline]
     pub fn shape(&self) -> &KernelShape {
@@ -175,14 +210,21 @@ impl FwdKernel {
             FwdImpl::Scalar => "scalar",
         }
     }
+}
 
-    /// Invoke the kernel (Section II-E six-pointer ABI).
-    ///
-    /// # Safety
-    /// The pointers must be valid for the extents implied by the
-    /// kernel's [`KernelShape`]; `out` must not alias `inp`/`wt`.
+impl StreamKernel for FwdKernel {
+    type In = f32;
+    type Out = f32;
+
+    /// Keyed by the *resolved* backend, so `Auto` and an explicit
+    /// `Jit` request share one kernel.
+    fn cached(shape: KernelShape, backend: Backend) -> Self {
+        let backend = backend.resolve();
+        cached_in(&kernel_cache().fwd, (shape, backend), || Self::new(shape, backend))
+    }
+
     #[inline]
-    pub unsafe fn call(
+    unsafe fn call(
         &self,
         inp: *const f32,
         wt: *const f32,
@@ -241,17 +283,8 @@ impl UpdKernel {
 
     /// As [`UpdKernel::new`] but through the process-wide code cache.
     pub fn cached(shape: UpdShape, backend: Backend) -> Self {
-        let key = (shape, backend.resolve());
-        let cache = kernel_cache();
-        let mut map = cache.upd.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, key.1);
-        map.insert(key, k.clone());
-        k
+        let backend = backend.resolve();
+        cached_in(&kernel_cache().upd, (shape, backend), || Self::new(shape, backend))
     }
 
     /// The descriptor this kernel was generated for.
@@ -325,35 +358,25 @@ impl QuantKernel {
         Self { shape, imp: Arc::new(imp) }
     }
 
-    /// As [`QuantKernel::new`] but through the process-wide code cache.
-    /// Keyed on the *unresolved* backend: int16 resolution depends on
-    /// host VNNI support, which is constant for the process lifetime.
-    pub fn cached(shape: KernelShape, backend: Backend) -> Self {
-        let key = (shape, backend);
-        let cache = kernel_cache();
-        let mut map = cache.quant.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, backend);
-        map.insert(key, k.clone());
-        k
-    }
-
     /// The descriptor this kernel was generated for.
     #[inline]
     pub fn shape(&self) -> &KernelShape {
         &self.shape
     }
+}
 
-    /// Invoke on int16 inputs / int32 outputs.
-    ///
-    /// # Safety
-    /// Pointer validity per the [`KernelShape`] extents.
+impl StreamKernel for QuantKernel {
+    type In = i16;
+    type Out = i32;
+
+    /// Keyed on the *unresolved* backend: int16 resolution depends on
+    /// host VNNI support, which is constant for the process lifetime.
+    fn cached(shape: KernelShape, backend: Backend) -> Self {
+        cached_in(&kernel_cache().quant, (shape, backend), || Self::new(shape, backend))
+    }
+
     #[inline]
-    pub unsafe fn call(
+    unsafe fn call(
         &self,
         inp: *const i16,
         wt: *const i16,

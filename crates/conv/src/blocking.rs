@@ -85,6 +85,17 @@ impl Blocking {
     }
 }
 
+/// Distinct tile extents, ascending, when tiles of `block` cover `len`:
+/// the main tile and, if `block` does not divide `len`, the remainder —
+/// one kernel variant each (Section II-H).
+pub(crate) fn tile_extents(len: usize, block: usize) -> Vec<usize> {
+    let mut extents = vec![len % block, block.min(len)];
+    extents.retain(|&e| e > 0);
+    extents.sort_unstable();
+    extents.dedup();
+    extents
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

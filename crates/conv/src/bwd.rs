@@ -17,9 +17,8 @@
 //!    dI accumulation never races.
 
 use crate::blocking;
-use crate::fuse::{FuseCtx, FusedOp};
 use crate::fwd::{FwdPlan, OutGeom, SendConstPtr, SendMutPtr};
-use crate::Backend;
+use crate::layer::LayerOptions;
 use parallel::{FlatPartition, ThreadPool};
 use smallgemm::SmallGemm;
 use std::sync::Mutex;
@@ -55,125 +54,68 @@ pub struct BwdPlan {
     repad_scratch: Mutex<Option<BlockedActs>>,
 }
 
-impl BwdPlan {
-    /// Choose the strategy and dryrun the dual plan.
-    pub fn new(shape: ConvShape, nthreads: usize, backend: Backend, prefetch: bool) -> Self {
-        Self::with_input_pad(shape, nthreads, backend, prefetch, shape.pad)
+/// The backward duality of Section II-I, derived once for the f32 and
+/// the int16 backward plans: the strategy and, for the two dual kinds,
+/// the dual forward shape (its pad is the dO padding the dual reads)
+/// and the geometry it writes dI through, in a dI tensor carrying
+/// `input_pad` physical padding.
+///
+/// The transpose-flip duality needs per-dimension dual padding
+/// (`r−1−pad_h`, `s−1−pad_w`); with a single symmetric pad it is only
+/// available for square filters, so asymmetric (1×7 / 7×1) Inception
+/// factorizations take the Algorithm 7 fallback, as do strided
+/// spatial filters.
+pub(crate) fn duality(
+    shape: &ConvShape,
+    input_pad: usize,
+) -> (BwdKind, Option<(ConvShape, OutGeom)>) {
+    let (n, k, c, p, q) = (shape.n, shape.k, shape.c, shape.p(), shape.q());
+    let di = OutGeom::blocked(shape.cb(), shape.h, shape.w, input_pad);
+    if shape.r == 1 && shape.s == 1 {
+        assert_eq!(shape.pad, 0, "1x1 layers carry no padding");
+        // strided writes into dI: pixel (oj, oi) of the dual output
+        // lands at dI[stride*oj][stride*oi]
+        let kind = if shape.stride == 1 { BwdKind::DualStride1 } else { BwdKind::Dual1x1 };
+        let dual = ConvShape::new(n, k, c, p, q, 1, 1, 1, 0);
+        (kind, Some((dual, di.strided(shape.stride))))
+    } else if shape.stride == 1 && shape.r == shape.s && shape.r > shape.pad {
+        let dual = ConvShape::new(n, k, c, p, q, shape.r, shape.s, 1, shape.r - 1 - shape.pad);
+        debug_assert_eq!((dual.p(), dual.q()), (shape.h, shape.w));
+        (BwdKind::DualStride1, Some((dual, di)))
+    } else {
+        (BwdKind::GemmFallback, None)
     }
+}
 
-    /// As [`BwdPlan::new`] but writing dI into a tensor carrying
-    /// `input_pad ≥ shape.pad` physical padding.
-    pub fn with_input_pad(
-        shape: ConvShape,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        input_pad: usize,
-    ) -> Self {
-        // the transpose-flip duality needs per-dimension dual padding
-        // (r−1−pad_h, s−1−pad_w); with a single symmetric pad it is
-        // only available for square filters — asymmetric (1×7 / 7×1)
-        // Inception factorizations take the Algorithm 7 fallback
-        let kind = if shape.r == 1 && shape.s == 1 {
-            if shape.stride == 1 {
-                BwdKind::DualStride1
-            } else {
-                BwdKind::Dual1x1
-            }
-        } else if shape.stride == 1 && shape.r == shape.s && shape.r > shape.pad {
-            BwdKind::DualStride1
-        } else {
-            BwdKind::GemmFallback
-        };
-        match kind {
-            BwdKind::DualStride1 => {
-                assert!(shape.r > shape.pad, "pad larger than filter");
-                let dual_pad = shape.r - 1 - shape.pad;
-                let dual = ConvShape::new(
-                    shape.n,
-                    shape.k,
-                    shape.c,
-                    shape.p(),
-                    shape.q(),
-                    shape.r,
-                    shape.s,
-                    1,
-                    dual_pad,
-                );
-                debug_assert_eq!(dual.p(), shape.h);
-                debug_assert_eq!(dual.q(), shape.w);
-                // dI is written into the (padded) input-geometry tensor
-                let out_geom = di_geom(&shape, input_pad);
-                let b = blocking::choose(&dual);
-                let plan = FwdPlan::new(
-                    dual,
-                    b,
-                    nthreads,
-                    backend,
-                    prefetch,
-                    FusedOp::None,
-                    Some(out_geom),
-                );
-                Self {
-                    shape,
-                    kind,
-                    dual: Some(plan),
-                    gemm: None,
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
-            BwdKind::Dual1x1 => {
-                assert_eq!(shape.pad, 0, "1x1 layers carry no padding");
-                let dual =
-                    ConvShape::new(shape.n, shape.k, shape.c, shape.p(), shape.q(), 1, 1, 1, 0);
-                // strided writes into dI: pixel (oj, oi) of the dual
-                // output lands at dI[stride*oj][stride*oi]
-                let di_row = (shape.w + 2 * input_pad) * VLEN;
-                let di_cb = (shape.h + 2 * input_pad) * di_row;
-                let out_geom = OutGeom {
-                    row_stride: shape.stride * di_row,
-                    col_stride: shape.stride * VLEN,
-                    kb_stride: di_cb,
-                    n_stride: shape.cb() * di_cb,
-                    base: input_pad * (di_row + VLEN),
-                };
-                let b = blocking::choose(&dual);
-                let plan = FwdPlan::new(
-                    dual,
-                    b,
-                    nthreads,
-                    backend,
-                    prefetch,
-                    FusedOp::None,
-                    Some(out_geom),
-                );
-                Self {
-                    shape,
-                    kind,
-                    dual: Some(plan),
-                    gemm: None,
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
-            BwdKind::GemmFallback => {
-                // C[Q×VLEN] += A[Q×VLEN] · B[VLEN×VLEN]; C rows are
-                // dI pixels strided by stride·VLEN
-                let gemm =
-                    SmallGemm::new(shape.q(), VLEN, VLEN, VLEN, VLEN, shape.stride * VLEN, true);
-                Self {
-                    shape,
-                    kind,
-                    dual: None,
-                    gemm: Some(gemm),
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
+/// The dO padding the duality reads (0 for the GEMM fallback): the
+/// default of [`LayerOptions::dout_pad`].
+pub(crate) fn dual_dout_pad(shape: &ConvShape) -> usize {
+    duality(shape, 0).1.map_or(0, |(dual, _)| dual.pad)
+}
+
+impl BwdPlan {
+    /// Choose the strategy and dryrun the dual plan with the team size,
+    /// backend and prefetch of `opts`. dI is written into a tensor
+    /// carrying `opts.input_pad` (default: the conv's pad) physical
+    /// padding.
+    pub fn new(shape: ConvShape, opts: &LayerOptions) -> Self {
+        let input_pad = opts.input_pad.unwrap_or(shape.pad);
+        let (kind, dual) = duality(&shape, input_pad);
+        let dual = dual.map(|(dual, out_geom)| {
+            FwdPlan::with_out_geom(dual, opts, blocking::choose(&dual), out_geom)
+        });
+        // C[Q×VLEN] += A[Q×VLEN] · B[VLEN×VLEN]; C rows are dI pixels
+        // strided by stride·VLEN
+        let gemm = (kind == BwdKind::GemmFallback)
+            .then(|| SmallGemm::new(shape.q(), VLEN, VLEN, VLEN, VLEN, shape.stride * VLEN, true));
+        Self {
+            shape,
+            kind,
+            dual,
+            gemm,
+            nthreads: opts.threads,
+            input_pad,
+            repad_scratch: Mutex::new(None),
         }
     }
 
@@ -185,10 +127,7 @@ impl BwdPlan {
     /// Physical padding the dual path needs on the dO tensor (callers
     /// allocating gradient buffers with this padding avoid a copy).
     pub fn dout_pad(&self) -> usize {
-        match self.kind {
-            BwdKind::DualStride1 => self.shape.r - 1 - self.shape.pad,
-            _ => 0,
-        }
+        self.dual.as_ref().map_or(0, |d| d.shape().pad)
     }
 
     /// Execute: `dinput = conv_bwd(dout, weights)`.
@@ -217,37 +156,18 @@ impl BwdPlan {
         let need = self.dout_pad();
         let scratch = (dout.pad != need).then(|| self.repad_to_scratch(pool, dout, need));
         let src = scratch.as_ref().unwrap_or(dout);
-        match self.kind {
-            BwdKind::DualStride1 => {
+        match &self.dual {
+            Some(dual) => {
                 let wt = weights.transpose_flip();
-                // SAFETY: dual plan geometry matches these tensors.
-                unsafe {
-                    self.dual.as_ref().unwrap().run_raw(
-                        pool,
-                        src.as_ptr(),
-                        wt.as_ptr(),
-                        dinput.as_mut_ptr(),
-                        &FuseCtx::default(),
-                    )
-                };
+                if self.kind == BwdKind::Dual1x1 {
+                    // strided writes leave the other dI pixels untouched
+                    dinput.zero();
+                }
+                // SAFETY: the dual plan's out-geom targets dinput's
+                // interior, and src carries the dual padding.
+                unsafe { dual.run_raw(pool, src.as_ptr(), wt.as_ptr(), dinput.as_mut_ptr()) };
             }
-            BwdKind::Dual1x1 => {
-                let wt = weights.transpose_flip();
-                dinput.zero();
-                // SAFETY: strided out-geom targets dinput's interior.
-                unsafe {
-                    self.dual.as_ref().unwrap().run_raw(
-                        pool,
-                        src.as_ptr(),
-                        wt.as_ptr(),
-                        dinput.as_mut_ptr(),
-                        &FuseCtx::default(),
-                    )
-                };
-            }
-            BwdKind::GemmFallback => {
-                self.run_gemm(pool, src, weights, dinput);
-            }
+            None => self.run_gemm(pool, src, weights, dinput),
         }
         if let Some(buf) = scratch {
             *self.repad_scratch.lock().unwrap() = Some(buf);
@@ -327,19 +247,6 @@ impl BwdPlan {
     }
 }
 
-/// dI output geometry: the (padded) input tensor of the layer.
-fn di_geom(shape: &ConvShape, input_pad: usize) -> OutGeom {
-    let row = (shape.w + 2 * input_pad) * VLEN;
-    let cb = (shape.h + 2 * input_pad) * row;
-    OutGeom {
-        row_stride: row,
-        col_stride: VLEN,
-        kb_stride: cb,
-        n_stride: shape.cb() * cb,
-        base: input_pad * row + input_pad * VLEN,
-    }
-}
-
 /// Copy `src`'s logical interior into `dst`, which carries different
 /// physical padding. Only interior rows are written, so a zero border
 /// stays zero across reuses of the same destination buffer.
@@ -401,7 +308,7 @@ mod tests {
 
     fn run_case(shape: ConvShape, threads: usize) -> BwdKind {
         let pool = ThreadPool::new(threads);
-        let plan = BwdPlan::new(shape, threads, Backend::Auto, false);
+        let plan = BwdPlan::new(shape, &LayerOptions::new(threads).with_prefetch(false));
 
         let gy = Nchw::random(shape.n, shape.k, shape.p(), shape.q(), 3);
         let w = Kcrs::random(shape.k, shape.c, shape.r, shape.s, 4);
@@ -457,7 +364,7 @@ mod tests {
     fn dout_without_padding_takes_copy_path() {
         let shape = ConvShape::new(1, 16, 16, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = BwdPlan::new(shape, &LayerOptions::new(2).with_prefetch(false));
         assert_eq!(plan.dout_pad(), 1); // R−1−pad = 3−1−1
         let gy = Nchw::random(1, 16, 8, 8, 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
@@ -475,7 +382,7 @@ mod tests {
     fn repad_scratch_is_reused_across_calls() {
         let shape = ConvShape::new(1, 16, 16, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = BwdPlan::new(shape, &LayerOptions::new(2).with_prefetch(false));
         assert!(plan.dout_pad() > 0);
         let gy = Nchw::random(1, 16, 8, 8, 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
@@ -495,7 +402,7 @@ mod tests {
     fn border_stays_zero_after_gemm_fallback() {
         let shape = ConvShape::new(1, 16, 16, 10, 10, 3, 3, 2, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = BwdPlan::new(shape, &LayerOptions::new(2).with_prefetch(false));
         let gy = Nchw::random(1, 16, shape.p(), shape.q(), 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
         let gyb = BlockedActs::from_nchw(&gy, 0);

@@ -8,13 +8,19 @@
 //! accumulating variants — Section II-H's motivation), and records the
 //! per-thread offset streams. Execution replays the streams.
 //!
-//! The same engine executes the *backward* pass: `bwd` builds a
-//! `FwdPlan` for the dual shape (Section II-I) with, where needed, a
-//! strided output geometry.
+//! One engine serves both datatypes: [`ConvPlan`] is generic over the
+//! kernel handle, so the f32 [`FwdPlan`] and the int16
+//! [`QuantFwdPlan`](crate::quant::QuantFwdPlan) share the dryrun, the
+//! kernel-variant table and the replay. The int16 layouts are
+//! element-parallel to the f32 ones, so both record identical streams.
+//!
+//! The same engine executes the *backward* pass: `bwd` plans the dual
+//! shape (Section II-I) with, where needed, a strided output geometry.
 
-use crate::backend::{Backend, FwdKernel};
-use crate::blocking::Blocking;
-use crate::fuse::{ApplyRec, FuseCtx, FusedOp};
+use crate::backend::{FwdKernel, StreamKernel};
+use crate::blocking::{tile_extents, Blocking};
+use crate::fuse::{apply_tile, ApplyRec, FuseCtx, FusedOp};
+use crate::layer::LayerOptions;
 use crate::streams::Stream;
 use microkernel::KernelShape;
 use parallel::{FlatPartition, ThreadPool};
@@ -23,7 +29,8 @@ use tensor::{BlockedActs, BlockedFilter, ConvShape, VLEN};
 
 /// Output-tensor geometry (element strides) the plan writes through.
 /// The default is a dense `[N][Kb][P][Q][VLEN]` tensor; the backward
-/// 1×1 duality uses strided variants.
+/// duality writes into the layer's (padded, possibly strided) input
+/// geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutGeom {
     /// Elements between output rows.
@@ -50,16 +57,64 @@ impl OutGeom {
     /// a fused convolution produce directly into a blob that a later
     /// padded convolution consumes.
     pub fn padded(shape: &ConvShape, out_pad: usize) -> Self {
-        let (p, q) = (shape.p() + 2 * out_pad, shape.q() + 2 * out_pad);
-        let row_stride = q * VLEN;
+        Self::blocked(shape.kb(), shape.p(), shape.q(), out_pad)
+    }
+
+    /// Geometry of any blocked `[N][cb][h+2·pad][w+2·pad][VLEN]` tensor,
+    /// with writes landing on the logical interior.
+    pub(crate) fn blocked(cb: usize, h: usize, w: usize, pad: usize) -> Self {
+        let row_stride = (w + 2 * pad) * VLEN;
+        let kb_stride = (h + 2 * pad) * row_stride;
         Self {
             row_stride,
             col_stride: VLEN,
-            kb_stride: p * q * VLEN,
-            n_stride: shape.kb() * p * q * VLEN,
-            base: out_pad * row_stride + out_pad * VLEN,
+            kb_stride,
+            n_stride: cb * kb_stride,
+            base: pad * (row_stride + VLEN),
         }
     }
+
+    /// Every `stride`-th row and column of this geometry.
+    pub(crate) fn strided(self, stride: usize) -> Self {
+        Self { row_stride: stride * self.row_stride, col_stride: stride * self.col_stride, ..self }
+    }
+}
+
+/// `Cb / cb_inner`: the reduction steps per output tile.
+fn cb_steps(shape: &ConvShape, blocking: &Blocking) -> usize {
+    assert!(shape.cb().is_multiple_of(blocking.cb_inner), "cb_inner must divide Cb");
+    shape.cb() / blocking.cb_inner
+}
+
+/// The one derivation of a dryrun variant's [`KernelShape`]: a kernel
+/// for `shape` under `blocking` that reads an input tensor carrying
+/// `input_pad` physical padding and writes through `out_geom`. The
+/// returned closure fills in the variant: tile extent `rows × cols`,
+/// and whether it initializes the output (first `cb` step) or
+/// accumulates.
+fn variant_shape(
+    shape: &ConvShape,
+    blocking: &Blocking,
+    input_pad: usize,
+    out_geom: &OutGeom,
+    prefetch: bool,
+) -> impl Fn(usize, usize, bool) -> KernelShape {
+    let in_row_stride = (shape.w + 2 * input_pad) * VLEN;
+    let base = KernelShape {
+        rbp: blocking.rbp,
+        rbq: blocking.rbq,
+        r: shape.r,
+        s: shape.s,
+        stride: shape.stride,
+        cb_inner: blocking.cb_inner,
+        in_row_stride,
+        in_cb_stride: (shape.h + 2 * input_pad) * in_row_stride,
+        out_row_stride: out_geom.row_stride,
+        out_col_stride: out_geom.col_stride,
+        init_zero: true,
+        prefetch,
+    };
+    move |rbp, rbq, init_zero| KernelShape { rbp, rbq, init_zero, ..base }
 }
 
 /// Enumerate every [`KernelShape`] variant a forward dryrun for
@@ -74,152 +129,112 @@ pub fn kernel_shape_variants(
     blocking: &Blocking,
     prefetch: bool,
 ) -> Vec<KernelShape> {
-    let out_geom = OutGeom::dense(shape);
-    let cb_steps = shape.cb() / blocking.cb_inner;
-    assert_eq!(cb_steps * blocking.cb_inner, shape.cb(), "cb_inner must divide Cb");
-    let in_row = (shape.w + 2 * shape.pad) * VLEN;
-    let in_cb = (shape.h + 2 * shape.pad) * in_row;
-    let (p, q) = (shape.p(), shape.q());
-    let mut rows_set: Vec<usize> =
-        (0..p.div_ceil(blocking.rbp)).map(|tj| (p - tj * blocking.rbp).min(blocking.rbp)).collect();
-    rows_set.sort_unstable();
-    rows_set.dedup();
-    let mut cols_set: Vec<usize> =
-        (0..q.div_ceil(blocking.rbq)).map(|ti| (q - ti * blocking.rbq).min(blocking.rbq)).collect();
-    cols_set.sort_unstable();
-    cols_set.dedup();
-    let inits: &[bool] = if cb_steps > 1 { &[true, false] } else { &[true] };
+    let variant = variant_shape(shape, blocking, shape.pad, &OutGeom::dense(shape), prefetch);
+    let inits: &[bool] = if cb_steps(shape, blocking) > 1 { &[true, false] } else { &[true] };
     let mut out = Vec::new();
-    for &rows in &rows_set {
-        for &cols in &cols_set {
-            for &init in inits {
-                out.push(KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch,
-                });
-            }
+    for rows in tile_extents(shape.p(), blocking.rbp) {
+        for cols in tile_extents(shape.q(), blocking.rbq) {
+            out.extend(inits.iter().map(|&init| variant(rows, cols, init)));
         }
     }
     out
 }
 
-/// A fully planned forward (or dual-backward) convolution.
-pub struct FwdPlan {
+/// A fully planned forward convolution over kernel handle `K`: the
+/// dryrun's kernel-variant table plus every thread's recorded stream.
+/// [`FwdPlan`] runs f32 kernels,
+/// [`QuantFwdPlan`](crate::quant::QuantFwdPlan) int16 ones, and a
+/// backward-duality plan is either of them on the dual shape.
+pub struct ConvPlan<K> {
     shape: ConvShape,
     blocking: Blocking,
-    kernels: Vec<FwdKernel>,
+    kernels: Vec<K>,
     streams: Vec<Stream>,
     out_geom: OutGeom,
     fused: FusedOp,
     nthreads: usize,
-    /// Minimum physical input padding the plan's offsets assume.
+    /// Physical input padding the plan's offsets assume.
     in_pad: usize,
-    /// Physical padding of the output tensor `run` writes (0 unless the
-    /// plan was built through [`FwdPlan::with_pads`]).
+    /// Physical padding of the output tensor `run` writes.
     out_pad: usize,
 }
 
-impl FwdPlan {
-    /// Dryrun: build kernels and per-thread streams.
-    pub fn new(
+/// A planned f32 forward convolution.
+pub type FwdPlan = ConvPlan<FwdKernel>;
+
+impl<K: StreamKernel> ConvPlan<K> {
+    /// The dryrun proper (Section II-H): walk Algorithm 4's loop nest
+    /// for every thread and record offsets and kernel variants instead
+    /// of calling kernels. Everything but the geometry comes from
+    /// `opts`: team size, backend, prefetch, fused op, input padding
+    /// (default: the conv's own pad) and output padding.
+    pub(crate) fn dryrun(
         shape: ConvShape,
+        opts: &LayerOptions,
         blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
+        out_geom: OutGeom,
     ) -> Self {
-        Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, fused, out_geom, shape.pad,
-        )
-    }
-
-    /// Dryrun against an input tensor carrying `input_pad ≥ shape.pad`
-    /// physical padding (graph executors share activation buffers
-    /// across consumers with different padding needs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_input_pad(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
-        input_pad: usize,
-    ) -> Self {
-        Self::with_pads(shape, blocking, nthreads, backend, prefetch, fused, out_geom, input_pad, 0)
-    }
-
-    /// Full-control dryrun: physical `input_pad` on the input tensor
-    /// *and* physical `out_pad` on the output tensor (the fused
-    /// inference executor writes folded-BN outputs straight into
-    /// padded consumer blobs). An explicit `out_geom` overrides
-    /// `out_pad` (the backward-duality callers pass their own strided
-    /// geometry and execute through `run_raw`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_pads(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
-        input_pad: usize,
-        out_pad: usize,
-    ) -> Self {
-        let out_geom = out_geom.unwrap_or_else(|| OutGeom::padded(&shape, out_pad));
-        let cb_steps = shape.cb() / blocking.cb_inner;
-        assert_eq!(cb_steps * blocking.cb_inner, shape.cb(), "cb_inner must divide Cb");
-
-        // input geometry (physically padded blocked activations)
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let in_cb = (shape.h + 2 * input_pad) * in_row;
-
-        let mut kernels: Vec<FwdKernel> = Vec::new();
-        let mut variant: HashMap<(usize, usize, bool), u8> = HashMap::new();
+        let input_pad = opts.input_pad.unwrap_or(shape.pad);
+        assert!(input_pad >= shape.pad, "input tensor padding below the conv's pad");
+        let cb_steps = cb_steps(&shape, &blocking);
+        let variant_shape = variant_shape(&shape, &blocking, input_pad, &out_geom, opts.prefetch);
+        let mut kernels = Vec::new();
+        let mut variants = HashMap::new();
         let mut variant_for = |rows: usize, cols: usize, init: bool| -> u8 {
-            *variant.entry((rows, cols, init)).or_insert_with(|| {
-                let sh = KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch,
-                };
-                kernels.push(FwdKernel::cached(sh, backend));
+            *variants.entry((rows, cols, init)).or_insert_with(|| {
+                kernels.push(K::cached(variant_shape(rows, cols, init), opts.backend));
                 u8::try_from(kernels.len() - 1).expect("too many kernel variants")
             })
         };
 
-        let streams = dryrun_streams(
-            &shape,
-            &blocking,
-            nthreads,
-            &out_geom,
-            fused,
-            input_pad,
-            &mut variant_for,
-        );
+        let (p, q) = (shape.p(), shape.q());
+        let (tp, tq) = blocking.tiles(p, q);
+        let in_row = (shape.w + 2 * input_pad) * VLEN;
+        let in_cb = (shape.h + 2 * input_pad) * in_row;
+        let in_n = shape.cb() * in_cb;
+        // extra physical border beyond what the conv consumes
+        let in_base = (input_pad - shape.pad) * (in_row + VLEN);
+        let wt_cb = shape.r * shape.s * VLEN * VLEN;
+        let wt_kb = shape.cb() * wt_cb;
+
+        let part = FlatPartition::new([shape.n, shape.kb(), tp, tq]);
+        let mut streams = Vec::with_capacity(opts.threads);
+        for tid in 0..opts.threads {
+            let mut s = Stream::default();
+            for item in part.range(opts.threads, tid) {
+                let [n, kb, tj, ti] = part.unflatten(item);
+                let rows = blocking.rbp.min(p - tj * blocking.rbp);
+                let cols = blocking.rbq.min(q - ti * blocking.rbq);
+                let oj = tj * blocking.rbp;
+                let oi = ti * blocking.rbq;
+                let out_off = out_geom.base
+                    + n * out_geom.n_stride
+                    + kb * out_geom.kb_stride
+                    + oj * out_geom.row_stride
+                    + oi * out_geom.col_stride;
+                for cbs in 0..cb_steps {
+                    let cb0 = cbs * blocking.cb_inner;
+                    let var = variant_for(rows, cols, cbs == 0);
+                    let in_off = in_base
+                        + n * in_n
+                        + cb0 * in_cb
+                        + (oj * shape.stride) * in_row
+                        + (oi * shape.stride) * VLEN;
+                    let wt_off = kb * wt_kb + cb0 * wt_cb;
+                    s.push_conv(var, in_off, wt_off, out_off);
+                }
+                if opts.fuse != FusedOp::None {
+                    s.push_apply(ApplyRec {
+                        out_off: u32::try_from(out_off).expect("output offset exceeds u32"),
+                        kb: kb as u16,
+                        rows: rows as u8,
+                        cols: cols as u16,
+                        row_stride: out_geom.row_stride as u32,
+                    });
+                }
+            }
+            streams.push(s);
+        }
 
         Self {
             shape,
@@ -227,11 +242,25 @@ impl FwdPlan {
             kernels,
             streams,
             out_geom,
-            fused,
-            nthreads,
+            fused: opts.fuse,
+            nthreads: opts.threads,
             in_pad: input_pad,
-            out_pad,
+            out_pad: opts.out_pad,
         }
+    }
+
+    /// Dryrun a raw (unfused) plan writing through an explicit output
+    /// geometry — the backward-duality entry point. `shape` is the
+    /// dual shape; its own pad is the physical padding of the dO
+    /// tensor the plan reads as input.
+    pub(crate) fn with_out_geom(
+        shape: ConvShape,
+        opts: &LayerOptions,
+        blocking: Blocking,
+        out_geom: OutGeom,
+    ) -> Self {
+        let raw = LayerOptions { fuse: FusedOp::None, input_pad: None, out_pad: 0, ..opts.clone() };
+        Self::dryrun(shape, &raw, blocking, out_geom)
     }
 
     /// The convolution shape this plan executes.
@@ -244,15 +273,16 @@ impl FwdPlan {
         &self.blocking
     }
 
+    /// The fused op applied after each output tile (`FusedOp::None`
+    /// for raw plans).
+    pub fn fused(&self) -> FusedOp {
+        self.fused
+    }
+
     /// Kernel variants generated by the dryrun (Section II-H's
     /// combinatorial-explosion bookkeeping, observable for tests).
     pub fn kernel_variants(&self) -> usize {
         self.kernels.len()
-    }
-
-    /// Which backend the first kernel resolved to.
-    pub fn backend_name(&self) -> &'static str {
-        self.kernels.first().map(|k| k.backend_name()).unwrap_or("none")
     }
 
     /// Total stream metadata bytes across threads.
@@ -260,77 +290,9 @@ impl FwdPlan {
         self.streams.iter().map(|s| s.metadata_bytes()).sum()
     }
 
-    /// Execute into a dense blocked output tensor.
-    pub fn run(
-        &self,
-        pool: &ThreadPool,
-        input: &BlockedActs,
-        weights: &BlockedFilter,
-        output: &mut BlockedActs,
-        ctx: &FuseCtx<'_>,
-    ) {
-        assert_eq!(pool.nthreads(), self.nthreads, "plan was dryrun for a different team size");
-        assert_eq!(
-            (input.n, input.c, input.h, input.w),
-            (self.shape.n, self.shape.c, self.shape.h, self.shape.w),
-            "input tensor mismatch"
-        );
-        assert_eq!(input.pad, self.in_pad, "plan offsets assume exactly this padding");
-        assert_eq!(
-            (weights.k, weights.c, weights.r, weights.s),
-            (self.shape.k, self.shape.c, self.shape.r, self.shape.s),
-            "filter tensor mismatch"
-        );
-        assert_eq!(
-            (output.n, output.c, output.h, output.w, output.pad),
-            (self.shape.n, self.shape.k, self.shape.p(), self.shape.q(), self.out_pad),
-            "output tensor mismatch"
-        );
-        if self.fused.needs_bias() {
-            // the apply reads whole VLEN blocks, so the bias must cover
-            // the padded channel count, not just the logical k
-            assert!(
-                ctx.bias.is_some_and(|b| b.len() >= self.shape.k.next_multiple_of(VLEN)),
-                "bias missing or shorter than the padded channel count"
-            );
-        }
-        if self.fused.needs_eltwise() {
-            let e = ctx.eltwise.expect("eltwise tensor missing");
-            assert_eq!(
-                (e.n, e.cb, e.h, e.w, e.pad),
-                (output.n, output.cb, output.h, output.w, self.out_pad),
-                "eltwise tensor mismatch"
-            );
-        }
-        // SAFETY: geometry validated above; threads write disjoint tiles.
-        unsafe { self.run_raw(pool, input.as_ptr(), weights.as_ptr(), output.as_mut_ptr(), ctx) }
-    }
-
-    /// Execute through raw base pointers (used by the backward duality
-    /// paths, which write strided outputs).
-    ///
-    /// # Safety
-    /// The pointers must describe tensors with exactly the geometry the
-    /// plan was dryrun for; output tiles are disjoint per thread.
-    pub unsafe fn run_raw(
-        &self,
-        pool: &ThreadPool,
-        input: *const f32,
-        weights: *const f32,
-        output: *mut f32,
-        ctx: &FuseCtx<'_>,
-    ) {
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let fused = self.fused;
-        let inp = SendConstPtr(input);
-        let wt = SendConstPtr(weights);
-        let out = SendMutPtr(output);
-        pool.run(move |pctx| {
-            let s = &streams[pctx.tid];
-            // SAFETY: per run_raw's contract.
-            unsafe { s.replay(kernels, fused, inp.get(), wt.get(), out.get(), ctx) };
-        });
+    /// Physical input padding the plan's offsets assume.
+    pub fn input_pad(&self) -> usize {
+        self.in_pad
     }
 
     /// Output geometry the plan writes through.
@@ -342,95 +304,150 @@ impl FwdPlan {
     pub fn out_pad(&self) -> usize {
         self.out_pad
     }
+
+    /// Check an f32 output tensor, and the fused op's operands in
+    /// `ctx`, against the plan.
+    pub(crate) fn check_output(&self, output: &BlockedActs, ctx: &FuseCtx<'_>) {
+        let sh = &self.shape;
+        assert_eq!(
+            (output.n, output.c, output.h, output.w, output.pad),
+            (sh.n, sh.k, sh.p(), sh.q(), self.out_pad),
+            "output tensor mismatch"
+        );
+        if self.fused.needs_bias() {
+            // the apply reads whole VLEN blocks, so the bias must cover
+            // the padded channel count, not just the logical k
+            assert!(
+                ctx.bias.is_some_and(|b| b.len() >= sh.k.next_multiple_of(VLEN)),
+                "bias missing or shorter than the padded channel count"
+            );
+        }
+        if self.fused.needs_eltwise() {
+            let e = ctx.eltwise.expect("eltwise tensor missing");
+            assert_eq!(
+                (e.n, e.cb, e.h, e.w, e.pad),
+                (output.n, output.cb, output.h, output.w, self.out_pad),
+                "eltwise tensor mismatch"
+            );
+        }
+    }
+
+    /// Replay every thread's stream on `pool`, handing each APPLY
+    /// record to `apply`.
+    ///
+    /// # Safety
+    /// The pointers must describe tensors with exactly the geometry the
+    /// plan was dryrun for; output tiles are disjoint per thread.
+    pub(crate) unsafe fn replay(
+        &self,
+        pool: &ThreadPool,
+        input: *const K::In,
+        weights: *const K::In,
+        output: *mut K::Out,
+        apply: impl Fn(&ApplyRec, *mut K::Out) + Sync,
+    ) {
+        assert_eq!(pool.nthreads(), self.nthreads, "plan was dryrun for a different team size");
+        let (inp, wt, out) = (SendConstPtr(input), SendConstPtr(weights), SendMutPtr(output));
+        pool.run(|pctx| {
+            let s = &self.streams[pctx.tid];
+            // SAFETY: per replay's contract.
+            unsafe { s.replay(&self.kernels, inp.get(), wt.get(), out.get(), &apply) };
+        });
+    }
+
+    /// Execute a raw (unfused) plan through base pointers — the
+    /// backward-duality paths, which write strided or int32 outputs.
+    ///
+    /// # Safety
+    /// As [`ConvPlan::replay`].
+    pub(crate) unsafe fn run_raw(
+        &self,
+        pool: &ThreadPool,
+        input: *const K::In,
+        weights: *const K::In,
+        output: *mut K::Out,
+    ) {
+        assert_eq!(self.fused, FusedOp::None, "fused plans need their APPLY operands");
+        self.replay(pool, input, weights, output, |_, _| unreachable!("raw plans record no APPLY"));
+    }
 }
 
-/// The dryrun proper (Section II-H): walk Algorithm 4's loop nest for
-/// every thread, record offsets and variants instead of calling
-/// kernels. Shared between the f32 and the int16 plans — both use the
-/// same element offsets because the blocked layouts are parallel.
-pub(crate) fn dryrun_streams(
-    shape: &ConvShape,
-    blocking: &Blocking,
-    nthreads: usize,
-    out_geom: &OutGeom,
-    fused: FusedOp,
-    input_pad: usize,
-    variant_for: &mut dyn FnMut(usize, usize, bool) -> u8,
-) -> Vec<Stream> {
-    assert!(input_pad >= shape.pad, "input tensor padding below the conv's pad");
-    let (p, q) = (shape.p(), shape.q());
-    let (tp, tq) = blocking.tiles(p, q);
-    let cb_steps = shape.cb() / blocking.cb_inner;
-    let in_row = (shape.w + 2 * input_pad) * VLEN;
-    let in_cb = (shape.h + 2 * input_pad) * in_row;
-    let in_n = shape.cb() * in_cb;
-    // extra physical border beyond what the conv consumes
-    let in_base = (input_pad - shape.pad) * (in_row + VLEN);
-    let wt_cb = shape.r * shape.s * VLEN * VLEN;
-    let wt_kb = shape.cb() * wt_cb;
-
-    let part = FlatPartition::new([shape.n, shape.kb(), tp, tq]);
-    let mut streams = Vec::with_capacity(nthreads);
-    for tid in 0..nthreads {
-        let mut s = Stream::default();
-        for item in part.range(nthreads, tid) {
-            let [n, kb, tj, ti] = part.unflatten(item);
-            let rows = blocking.rbp.min(p - tj * blocking.rbp);
-            let cols = blocking.rbq.min(q - ti * blocking.rbq);
-            let oj = tj * blocking.rbp;
-            let oi = ti * blocking.rbq;
-            let out_off = out_geom.base
-                + n * out_geom.n_stride
-                + kb * out_geom.kb_stride
-                + oj * out_geom.row_stride
-                + oi * out_geom.col_stride;
-            for cbs in 0..cb_steps {
-                let cb0 = cbs * blocking.cb_inner;
-                let var = variant_for(rows, cols, cbs == 0);
-                let in_off = in_base
-                    + n * in_n
-                    + cb0 * in_cb
-                    + (oj * shape.stride) * in_row
-                    + (oi * shape.stride) * VLEN;
-                let wt_off = kb * wt_kb + cb0 * wt_cb;
-                s.push_conv(var, in_off, wt_off, out_off);
-            }
-            if fused != FusedOp::None {
-                s.push_apply(ApplyRec {
-                    out_off: u32::try_from(out_off).expect("output offset exceeds u32"),
-                    kb: kb as u16,
-                    rows: rows as u8,
-                    cols: cols as u16,
-                    row_stride: out_geom.row_stride as u32,
-                });
-            }
-        }
-        streams.push(s);
+impl FwdPlan {
+    /// Dryrun `shape` under `blocking` with the engine settings of
+    /// `opts` (team size, backend, prefetch, fused op, physical input
+    /// and output padding).
+    pub fn new(shape: ConvShape, opts: &LayerOptions, blocking: Blocking) -> Self {
+        Self::dryrun(shape, opts, blocking, OutGeom::padded(&shape, opts.out_pad))
     }
-    streams
+
+    /// Which backend the first kernel resolved to.
+    pub fn backend_name(&self) -> &'static str {
+        self.kernels.first().map(|k| k.backend_name()).unwrap_or("none")
+    }
+
+    /// Execute into a blocked output tensor carrying the plan's
+    /// output padding.
+    pub fn run(
+        &self,
+        pool: &ThreadPool,
+        input: &BlockedActs,
+        weights: &BlockedFilter,
+        output: &mut BlockedActs,
+        ctx: &FuseCtx<'_>,
+    ) {
+        let sh = &self.shape;
+        assert_eq!(
+            (input.n, input.c, input.h, input.w),
+            (sh.n, sh.c, sh.h, sh.w),
+            "input tensor mismatch"
+        );
+        assert_eq!(input.pad, self.in_pad, "plan offsets assume exactly this padding");
+        assert_eq!(
+            (weights.k, weights.c, weights.r, weights.s),
+            (sh.k, sh.c, sh.r, sh.s),
+            "filter tensor mismatch"
+        );
+        self.check_output(output, ctx);
+        let fused = self.fused;
+        let apply = |rec: &ApplyRec, out: *mut f32| {
+            // SAFETY: the record addresses a tile of the validated
+            // output, and the bias/eltwise operands were checked.
+            unsafe { apply_tile(fused, rec, out, ctx) }
+        };
+        // SAFETY: geometry validated above; threads write disjoint tiles.
+        unsafe { self.replay(pool, input.as_ptr(), weights.as_ptr(), output.as_mut_ptr(), apply) }
+    }
 }
 
 /// Shareable raw-pointer wrappers. Accessed through methods so that
 /// RFC-2229 precise capture moves the whole (Sync) wrapper into the
 /// region closure instead of the bare pointer field.
 #[derive(Clone, Copy)]
-pub(crate) struct SendConstPtr(pub(crate) *const f32);
-unsafe impl Send for SendConstPtr {}
-unsafe impl Sync for SendConstPtr {}
-impl SendConstPtr {
+pub(crate) struct SendConstPtr<T>(pub(crate) *const T);
+// SAFETY: the one field is a pointer other threads only read through;
+// `T: Sync` makes those shared reads sound, and every dereference sits
+// in an `unsafe` block that states why the pointee is valid.
+unsafe impl<T: Sync> Send for SendConstPtr<T> {}
+// SAFETY: as for `Send`: sharing the wrapper only shares reads of `T`.
+unsafe impl<T: Sync> Sync for SendConstPtr<T> {}
+impl<T> SendConstPtr<T> {
     #[inline]
-    pub(crate) fn get(&self) -> *const f32 {
+    pub(crate) fn get(&self) -> *const T {
         self.0
     }
 }
 
 #[derive(Clone, Copy)]
-pub(crate) struct SendMutPtr(pub(crate) *mut f32);
-unsafe impl Send for SendMutPtr {}
-unsafe impl Sync for SendMutPtr {}
-impl SendMutPtr {
+pub(crate) struct SendMutPtr<T>(pub(crate) *mut T);
+// SAFETY: the one field is a pointer other threads write `T` values
+// through (`T: Send`); the `unsafe` blocks that dereference it state
+// why the threads' writes are disjoint.
+unsafe impl<T: Send> Send for SendMutPtr<T> {}
+// SAFETY: as for `Send`: each thread writes only its own elements.
+unsafe impl<T: Send> Sync for SendMutPtr<T> {}
+impl<T> SendMutPtr<T> {
     #[inline]
-    pub(crate) fn get(&self) -> *mut f32 {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -441,12 +458,14 @@ mod tests {
     use crate::blocking;
     use crate::fuse::apply_unfused;
     use crate::reference::conv_fwd_ref;
+    use crate::Backend;
     use tensor::{Kcrs, Nchw, Norms};
 
     fn run_case(shape: ConvShape, fused: FusedOp, backend: Backend, threads: usize) {
         let pool = ThreadPool::new(threads);
         let b = blocking::choose(&shape);
-        let plan = FwdPlan::new(shape, b, threads, backend, true, fused, None);
+        let opts = LayerOptions::new(threads).with_backend(backend).with_fuse(fused);
+        let plan = FwdPlan::new(shape, &opts, b);
 
         let x = Nchw::random(shape.n, shape.c, shape.h, shape.w, 1);
         let w = Kcrs::random(shape.k, shape.c, shape.r, shape.s, 2);
@@ -521,7 +540,7 @@ mod tests {
         let shape = ConvShape::new(1, 32, 16, 10, 10, 3, 3, 1, 1);
         let b = Blocking { rbp: 2, rbq: 7, cb_inner: 1, upd_bp: 4, upd_bq: 10 };
         let pool = ThreadPool::new(3);
-        let plan = FwdPlan::new(shape, b, 3, Backend::Auto, false, FusedOp::None, None);
+        let plan = FwdPlan::new(shape, &LayerOptions::new(3).with_prefetch(false), b);
         // (main, remainder) × (first-cb init, accumulate) = 4 variants
         assert_eq!(plan.kernel_variants(), 4, "main + remainder variants expected");
         let x = Nchw::random(1, 32, 10, 10, 5);
@@ -553,22 +572,13 @@ mod tests {
         let bias: Vec<f32> = (0..32).map(|i| 0.02 * i as f32 - 0.3).collect();
         let residual = BlockedActs::random(2, 32, 8, 8, 2, 33);
 
-        let dense = FwdPlan::new(shape, b, threads, Backend::Auto, true, FusedOp::None, None);
+        let dense = FwdPlan::new(shape, &LayerOptions::new(threads), b);
         let mut y_dense = BlockedActs::zeros(2, 32, 8, 8, 0);
         dense.run(&pool, &xb, &wb, &mut y_dense, &FuseCtx::default());
 
         for fused in [FusedOp::None, FusedOp::BiasEltwiseRelu] {
-            let padded = FwdPlan::with_pads(
-                shape,
-                b,
-                threads,
-                Backend::Auto,
-                true,
-                fused,
-                None,
-                shape.pad,
-                2,
-            );
+            let opts = LayerOptions::new(threads).with_fuse(fused).with_out_pad(2);
+            let padded = FwdPlan::new(shape, &opts, b);
             assert_eq!(padded.out_pad(), 2);
             let mut y_pad = BlockedActs::zeros(2, 32, 8, 8, 2);
             let ctx = FuseCtx {
@@ -613,7 +623,7 @@ mod tests {
         for threads in [1usize, 2, 5, 8] {
             let pool = ThreadPool::new(threads);
             let b = blocking::choose(&shape);
-            let plan = FwdPlan::new(shape, b, threads, Backend::Auto, false, FusedOp::None, None);
+            let plan = FwdPlan::new(shape, &LayerOptions::new(threads).with_prefetch(false), b);
             let mut yb = BlockedActs::zeros(3, 32, 8, 8, 0);
             plan.run(&pool, &xb, &wb, &mut yb, &FuseCtx::default());
             outs.push(yb.as_slice().to_vec());
@@ -623,11 +633,50 @@ mod tests {
         }
     }
 
+    /// The shared dryrun relies on the int16 layouts being
+    /// element-parallel to the f32 ones: an f32 and an int16 plan built
+    /// from one `LayerOptions` and one blocking (`cb_inner` within the
+    /// chain limit, so nothing is clamped) record identical streams.
+    #[test]
+    fn f32_and_int16_plans_record_identical_streams() {
+        for (shape, opts) in [
+            (ConvShape::new(2, 32, 32, 8, 8, 3, 3, 1, 1), LayerOptions::new(3)),
+            (
+                ConvShape::new(2, 64, 32, 8, 8, 1, 1, 2, 0),
+                LayerOptions::new(2).with_fuse(FusedOp::Relu),
+            ),
+            (
+                ConvShape::new(1, 32, 48, 10, 10, 3, 3, 1, 1),
+                LayerOptions::new(3)
+                    .with_fuse(FusedOp::BiasEltwiseRelu)
+                    .with_input_pad(2)
+                    .with_out_pad(2),
+            ),
+        ] {
+            let opts = opts.with_chain_limit(shape.cb());
+            let b = blocking::choose(&shape);
+            assert!(b.cb_inner <= opts.chain_limit);
+            let f32_plan = FwdPlan::new(shape, &opts, b);
+            let int16_plan = crate::quant::QuantFwdPlan::new(shape, &opts, b);
+            assert_eq!(f32_plan.blocking, int16_plan.blocking, "{shape}");
+            assert_eq!(f32_plan.streams.len(), int16_plan.streams.len(), "{shape}");
+            for (f, q) in f32_plan.streams.iter().zip(&int16_plan.streams) {
+                assert_eq!(f.segments, q.segments, "{shape}: segments");
+                assert_eq!(f.var, q.var, "{shape}: var");
+                assert_eq!(f.inp, q.inp, "{shape}: inp");
+                assert_eq!(f.wt, q.wt, "{shape}: wt");
+                assert_eq!(f.out, q.out, "{shape}: out");
+                assert_eq!(f.applies, q.applies, "{shape}: applies");
+            }
+        }
+    }
+
     #[test]
     fn stream_metadata_is_compact() {
         let shape = ConvShape::new(4, 64, 64, 28, 28, 3, 3, 1, 1);
         let b = blocking::choose(&shape);
-        let plan = FwdPlan::new(shape, b, 8, Backend::Intrinsics, true, FusedOp::Relu, None);
+        let opts = LayerOptions::new(8).with_backend(Backend::Intrinsics).with_fuse(FusedOp::Relu);
+        let plan = FwdPlan::new(shape, &opts, b);
         // 4·4·(28/rbp·28/28)·Cb convs; metadata ≈ 13B per conv
         let convs: usize = (0..8).map(|_| 0).len(); // silence clippy
         let _ = convs;

@@ -11,7 +11,7 @@ use crate::blocking::Blocking;
 use crate::bwd::{BwdKind, BwdPlan};
 use crate::fuse::{FuseCtx, FusedOp};
 use crate::fwd::FwdPlan;
-use crate::quant::{QuantFwdPlan, QuantOptions, DEFAULT_CHAIN_LIMIT};
+use crate::quant::{QuantFwdPlan, DEFAULT_CHAIN_LIMIT};
 use crate::tune::{self, TuneLevel, TuneOutcome, TuneStore};
 use crate::upd::UpdPlan;
 use machine::MachineModel;
@@ -59,7 +59,10 @@ impl Precision {
     }
 }
 
-/// Configuration of a layer's engines.
+/// Configuration of a layer's engines: the one options value every
+/// plan is built from — `FwdPlan`, `BwdPlan` and `UpdPlan`, and the
+/// int16 `QuantFwdPlan` / `QuantBwdPlan` (each plan reads the fields
+/// that apply to it).
 #[derive(Clone)]
 pub struct LayerOptions {
     /// Thread-team size the plans are dryrun for.
@@ -234,31 +237,9 @@ impl ConvLayer {
     pub fn new(shape: ConvShape, opts: LayerOptions) -> Self {
         let outcome = tune::resolve(&shape, &opts);
         let b = outcome.blocking;
-        let input_pad = opts.input_pad.unwrap_or(shape.pad);
-        let fwd = FwdPlan::with_pads(
-            shape,
-            b,
-            opts.threads,
-            opts.backend,
-            opts.prefetch,
-            opts.fuse,
-            None,
-            input_pad,
-            opts.out_pad,
-        );
-        let bwd =
-            BwdPlan::with_input_pad(shape, opts.threads, opts.backend, opts.prefetch, input_pad);
-        let dout_pad = opts.dout_pad.unwrap_or_else(|| bwd.dout_pad());
-        let upd = UpdPlan::with_input_pad(
-            shape,
-            b,
-            opts.threads,
-            opts.backend,
-            opts.prefetch,
-            &opts.machine,
-            dout_pad,
-            input_pad,
-        );
+        let fwd = FwdPlan::new(shape, &opts, b);
+        let bwd = BwdPlan::new(shape, &opts);
+        let upd = UpdPlan::new(shape, &opts, b);
         let quant = (opts.precision == Precision::Int8).then(|| {
             // the requantizing APPLY must visit every output tile, so a
             // fusion-free layer still records applies: Bias with an
@@ -267,17 +248,7 @@ impl ConvLayer {
                 FusedOp::None => FusedOp::Bias,
                 f => f,
             };
-            QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(opts.threads)
-                    .with_backend(opts.backend)
-                    .with_prefetch(opts.prefetch)
-                    .with_chain_limit(opts.chain_limit)
-                    .with_blocking(b)
-                    .with_input_pad(input_pad)
-                    .with_fuse(qfuse)
-                    .with_out_pad(opts.out_pad),
-            )
+            QuantFwdPlan::new(shape, &opts.clone().with_fuse(qfuse), b)
         });
         Self { shape, opts, blocking: b, tune_outcome: outcome, fwd, bwd, upd, quant }
     }

@@ -4,8 +4,10 @@
 //! and then executed many times (the "replay" phase):
 //!
 //! * **setup** picks register/cache blocking ([`blocking`]), generates
-//!   the microkernel variants (JIT machine code when available,
-//!   monomorphized intrinsics otherwise — [`backend`]), runs the
+//!   the microkernel variants (JIT machine code when available — see
+//!   [`backend`]; otherwise monomorphized intrinsics, which serve only
+//!   AVX-512 hosts without executable memory plus int16 on AVX-512
+//!   hosts without VNNI, and scalar kernels everywhere else), runs the
 //!   *dryrun* that records each thread's exact sequence of kernel
 //!   invocations as offset streams with RLE-encoded segments
 //!   ([`streams`], Section II-H), and chooses the weight-update
@@ -16,9 +18,12 @@
 //!   entry, fused operators ([`fuse`]) applied while output sub-tensors
 //!   are cache-hot.
 //!
-//! The backward pass reuses the forward machinery through the duality
-//! transforms of Section II-I ([`bwd`]); int16 kernels implement the
-//! reduced-precision path of Section II-K ([`quant`]); [`mod@reference`]
+//! One forward engine ([`fwd::ConvPlan`]) serves both datatypes: the
+//! reduced-precision path of Section II-K ([`quant`]) is the f32 dryrun
+//! and replay over int16 kernels, planned from the same
+//! [`LayerOptions`]. The backward pass reuses it through the duality
+//! transforms of Section II-I ([`bwd`]), for f32 and int16 alike;
+//! [`mod@reference`]
 //! holds the naive Algorithm 1/6/8 loop nests every engine is tested
 //! against. The blocking choice itself can escalate from the Section
 //! II-B heuristic to a model-ranked or measured search ([`tune`]).
@@ -37,12 +42,13 @@ pub mod tune;
 pub mod upd;
 
 pub use backend::{
-    kernel_cache_stats, kernel_verify_stats, Backend, FwdKernel, KernelCacheStats, UpdKernel,
+    kernel_cache_stats, kernel_verify_stats, Backend, FwdKernel, KernelCacheStats, StreamKernel,
+    UpdKernel,
 };
 pub use blocking::Blocking;
 pub use cache::{CombinedCacheStats, FusedOpCacheStats, PlanCache, PlanCacheStats};
 pub use fuse::FusedOp;
 pub use layer::{ConvLayer, LayerOptions, Precision};
-pub use quant::{QuantBwdPlan, QuantFwdPlan, QuantOptions, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
+pub use quant::{QuantBwdPlan, QuantFwdPlan, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
 pub use tensor::ConvShape;
 pub use tune::{TuneLevel, TuneOutcome, TuneStore};

@@ -3,225 +3,64 @@
 //! Mirrors the f32 engines with the datatype changes of the paper's
 //! quantized path:
 //!
-//! * **forward** — the shared dryrun records the identical offset
-//!   streams (the int16 layouts are element-parallel to the f32 ones);
-//!   kernels are `vpdpwssd`-based; the accumulation chain inside one
-//!   kernel invocation is bounded by `chain_limit` channel blocks (the
-//!   paper's overflow guard: *"we have to restrict the length of the
-//!   FMA accumulation chain"*), which costs extra int32 output traffic
-//!   — one of the three reasons int16 stays below 2×;
-//! * **backward** — duality exactly as in f32: transposed/flipped
-//!   weights re-quantized into the VNNI layout, dO (padded) as input;
+//! * **forward** — the f32 engine itself: [`QuantFwdPlan`] is
+//!   [`ConvPlan`] over `vpdpwssd`-based kernels, planned from the same
+//!   [`LayerOptions`], so the dryrun records the identical offset
+//!   streams (the int16 layouts are element-parallel to the f32 ones).
+//!   The accumulation chain inside one kernel invocation is bounded by
+//!   `chain_limit` channel blocks (the paper's overflow guard: *"we
+//!   have to restrict the length of the FMA accumulation chain"*),
+//!   which costs extra int32 output traffic — one of the three reasons
+//!   int16 stays below 2×;
+//! * **backward** — the f32 duality derivation, with transposed/flipped
+//!   weights re-quantized into the VNNI layout and dO (padded) as input;
 //! * **update** — the 4VNNIW-style pixel-pair reduction: dO rows are
 //!   transposed into pair-interleaved `[q/2][k][2]` panels and input
 //!   rows into channel-major `[c][q]` rows (the paper's *"memory bound
 //!   operation \[that\] further degrades the performance"*), then a
 //!   16-accumulator `vpdpwssd` kernel sweeps pixel pairs.
 
-use crate::backend::{Backend, QuantKernel};
+use crate::backend::QuantKernel;
 use crate::blocking::{self, Blocking};
-use crate::fuse::{FuseCtx, FusedOp};
-use crate::fwd::{dryrun_streams, OutGeom, SendMutPtr};
-use crate::streams::Stream;
-use microkernel::KernelShape;
+use crate::bwd::duality;
+use crate::fuse::{apply_tile_requant, ApplyRec, FuseCtx, FusedOp};
+use crate::fwd::{ConvPlan, OutGeom, SendMutPtr};
+use crate::layer::LayerOptions;
 use parallel::{split_even, ThreadPool};
-use std::collections::HashMap;
 use tensor::vnni::BlockedI32;
 use tensor::{BlockedActs, BlockedFilter, ConvShape, VnniActs, VnniFilter, VLEN};
 
 /// Default accumulation-chain bound in channel blocks (64 channels).
 pub const DEFAULT_CHAIN_LIMIT: usize = 4;
 
-/// Configuration of a quantized plan — the int16 counterpart of
-/// [`crate::LayerOptions`], replacing the former positional
-/// `bool`/`usize` argument list. Every field participates in the
-/// plan-cache key (via `LayerOptions`), so chain-length or padding
-/// variants of the same shape never collide.
-#[derive(Clone, Debug)]
-pub struct QuantOptions {
-    /// Thread-team size the plan is dryrun for.
-    pub threads: usize,
-    /// Kernel backend.
-    pub backend: Backend,
-    /// Emit software prefetches.
-    pub prefetch: bool,
-    /// Accumulation-chain bound in channel blocks (the paper's int16
-    /// overflow guard); clamped to a divisor of the shape's `Cb`.
-    pub chain_limit: usize,
-    /// Blocking override (e.g. the autotuner's winner for the f32 plan
-    /// of the same shape); `None` chooses the Section II-B heuristic.
-    /// `cb_inner` is clamped to `chain_limit` either way.
-    pub blocking: Option<Blocking>,
-    /// Physical padding of the input tensor (defaults to the conv's
-    /// own pad).
-    pub input_pad: Option<usize>,
-    /// Fused requantizing APPLY. `FusedOp::None` builds a *raw* plan
-    /// that leaves int32 accumulators (kernel tests, duality); any
-    /// other op builds a fused plan executed through
-    /// [`QuantFwdPlan::run_fused`], which dequantizes in the APPLY.
-    pub fuse: FusedOp,
-    /// Physical padding of the output tensor (fused plans only).
-    pub out_pad: usize,
-    /// Explicit output geometry (duality callers); overrides `out_pad`.
-    pub out_geom: Option<OutGeom>,
-}
+/// A planned int16 forward convolution. Built with `opts.fuse ==
+/// FusedOp::None` it is a *raw* plan that leaves int32 accumulators
+/// ([`QuantFwdPlan::run`]); any other op builds a fused plan that
+/// requantizes in the APPLY ([`QuantFwdPlan::run_fused`]).
+pub type QuantFwdPlan = ConvPlan<QuantKernel>;
 
-impl QuantOptions {
-    /// Defaults for a given team size.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            backend: Backend::Auto,
-            prefetch: true,
-            chain_limit: DEFAULT_CHAIN_LIMIT,
-            blocking: None,
-            input_pad: None,
-            fuse: FusedOp::None,
-            out_pad: 0,
-            out_geom: None,
-        }
+/// `blocking` with `cb_inner` bounded by `chain_limit` channel blocks
+/// (the overflow guard), kept a divisor of `Cb` so `cb_steps` stays
+/// integral.
+fn chain_bounded(shape: &ConvShape, mut blocking: Blocking, chain_limit: usize) -> Blocking {
+    if blocking.cb_inner > chain_limit {
+        blocking.cb_inner = (1..=chain_limit)
+            .rev()
+            .find(|&ci| shape.cb().is_multiple_of(ci))
+            .expect("chain limit must be at least one channel block");
     }
-
-    /// Set the kernel backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Enable/disable prefetching.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Set the accumulation-chain bound.
-    pub fn with_chain_limit(mut self, chain_limit: usize) -> Self {
-        assert!(chain_limit >= 1, "chain limit must be at least one channel block");
-        self.chain_limit = chain_limit;
-        self
-    }
-
-    /// Reuse a blocking decision (typically the f32 plan's).
-    pub fn with_blocking(mut self, blocking: Blocking) -> Self {
-        self.blocking = Some(blocking);
-        self
-    }
-
-    /// Set the physical input padding (shared activation buffers).
-    pub fn with_input_pad(mut self, pad: usize) -> Self {
-        self.input_pad = Some(pad);
-        self
-    }
-
-    /// Set the fused requantizing APPLY op.
-    pub fn with_fuse(mut self, fuse: FusedOp) -> Self {
-        self.fuse = fuse;
-        self
-    }
-
-    /// Set the physical output padding.
-    pub fn with_out_pad(mut self, pad: usize) -> Self {
-        self.out_pad = pad;
-        self
-    }
-
-    /// Set an explicit output geometry (backward-duality wrappers).
-    pub fn with_out_geom(mut self, geom: OutGeom) -> Self {
-        self.out_geom = Some(geom);
-        self
-    }
-}
-
-/// Planned int16 forward pass.
-pub struct QuantFwdPlan {
-    shape: ConvShape,
-    blocking: Blocking,
-    kernels: Vec<QuantKernel>,
-    streams: Vec<Stream>,
-    nthreads: usize,
-    out_geom: OutGeom,
-    fused: FusedOp,
-    input_pad: usize,
-    out_pad: usize,
+    blocking
 }
 
 impl QuantFwdPlan {
-    /// Dryrun with a bounded accumulation chain.
-    pub fn new(shape: ConvShape, opts: &QuantOptions) -> Self {
-        let input_pad = opts.input_pad.unwrap_or(shape.pad);
-        assert!(input_pad >= shape.pad, "input padding below the conv's pad");
-        let out_geom = opts.out_geom.unwrap_or_else(|| OutGeom::padded(&shape, opts.out_pad));
-        let mut b = opts.blocking.unwrap_or_else(|| blocking::choose(&shape));
-        // the overflow guard: bound the in-register reduction length
-        if b.cb_inner > opts.chain_limit {
-            // keep it a divisor of Cb so cb_steps stays integral
-            let mut ci = opts.chain_limit;
-            while !shape.cb().is_multiple_of(ci) {
-                ci -= 1;
-            }
-            b.cb_inner = ci;
-        }
-        let blocking = b;
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let in_cb = (shape.h + 2 * input_pad) * in_row;
-        let mut kernels: Vec<QuantKernel> = Vec::new();
-        let mut variant: HashMap<(usize, usize, bool), u8> = HashMap::new();
-        let mut variant_for = |rows: usize, cols: usize, init: bool| -> u8 {
-            *variant.entry((rows, cols, init)).or_insert_with(|| {
-                let sh = KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch: opts.prefetch,
-                };
-                kernels.push(QuantKernel::cached(sh, opts.backend));
-                u8::try_from(kernels.len() - 1).expect("too many kernel variants")
-            })
-        };
-        let streams = dryrun_streams(
-            &shape,
-            &blocking,
-            opts.threads,
-            &out_geom,
-            opts.fuse,
-            input_pad,
-            &mut variant_for,
-        );
-        Self {
-            shape,
-            blocking,
-            kernels,
-            streams,
-            nthreads: opts.threads,
-            out_geom,
-            fused: opts.fuse,
-            input_pad,
-            out_pad: opts.out_pad,
-        }
-    }
-
-    /// The blocking in effect (chain-clamped) — the legality invariants
-    /// of the f32 planner hold here too, and are property-tested.
-    pub fn blocking(&self) -> &Blocking {
-        &self.blocking
-    }
-
-    /// The fused requantizing op (`FusedOp::None` for raw plans).
-    pub fn fused(&self) -> FusedOp {
-        self.fused
-    }
-
-    /// Physical input padding the plan's offsets assume.
-    pub fn input_pad(&self) -> usize {
-        self.input_pad
+    /// Dryrun `shape` as [`FwdPlan::new`](crate::fwd::FwdPlan) does,
+    /// with `blocking.cb_inner` bounded by `opts.chain_limit`. Pass the
+    /// f32 plan's blocking to share its decision (the legality
+    /// invariants of the f32 planner hold here too, and are
+    /// property-tested).
+    pub fn new(shape: ConvShape, opts: &LayerOptions, blocking: Blocking) -> Self {
+        let blocking = chain_bounded(&shape, blocking, opts.chain_limit);
+        Self::dryrun(shape, opts, blocking, OutGeom::padded(&shape, opts.out_pad))
     }
 
     /// Execute `out = conv(input, weights)` in int16→int32 (raw plans
@@ -233,16 +72,14 @@ impl QuantFwdPlan {
         weights: &VnniFilter,
         out: &mut BlockedI32,
     ) {
-        assert_eq!(pool.nthreads(), self.nthreads);
-        assert_eq!(self.fused, FusedOp::None, "fused plans must run through run_fused");
-        let sh = &self.shape;
+        assert_eq!(self.fused(), FusedOp::None, "fused plans must run through run_fused");
+        self.check_input(input, weights);
+        let sh = self.shape();
         assert_eq!(
-            (input.n, input.c, input.h, input.w, input.pad),
-            (sh.n, sh.c, sh.h, sh.w, self.input_pad),
-            "input mismatch"
+            (out.n, out.k, out.h, out.w, 0),
+            (sh.n, sh.k, sh.p(), sh.q(), self.out_pad()),
+            "output mismatch"
         );
-        assert_eq!((weights.k, weights.c), (sh.k, sh.c), "filter mismatch");
-        assert_eq!((out.n, out.k, out.h, out.w), (sh.n, sh.k, sh.p(), sh.q()), "output mismatch");
         // SAFETY: geometry validated; disjoint tiles per thread.
         unsafe { self.run_raw(pool, input.as_ptr(), weights.as_ptr(), out.as_mut_ptr()) }
     }
@@ -267,136 +104,66 @@ impl QuantFwdPlan {
         mult: &[f32],
         ctx: &FuseCtx<'_>,
     ) {
-        assert_eq!(pool.nthreads(), self.nthreads);
-        assert_ne!(self.fused, FusedOp::None, "raw plans must run through run");
-        let sh = &self.shape;
+        assert_ne!(self.fused(), FusedOp::None, "raw plans must run through run");
+        self.check_input(input, weights);
+        self.check_output(output, ctx);
+        let kpad = self.shape().k.next_multiple_of(VLEN);
+        assert!(mult.len() >= kpad, "mult shorter than the padded channel count");
+        let fused = self.fused();
+        let apply = |rec: &ApplyRec, acc: *mut i32| {
+            // SAFETY: the record addresses a finished tile of the
+            // validated output; `mult` and `ctx` were checked above.
+            unsafe { apply_tile_requant(fused, rec, acc as *mut f32, mult, ctx) }
+        };
+        // SAFETY: geometry validated above; threads own disjoint tiles,
+        // and every tile's APPLY follows its last reduction. The i32
+        // accumulators share the f32 storage's element size and strides.
+        unsafe {
+            self.replay(pool, input.as_ptr(), weights.as_ptr(), output.as_mut_ptr().cast(), apply)
+        }
+    }
+
+    fn check_input(&self, input: &VnniActs, weights: &VnniFilter) {
+        let sh = self.shape();
         assert_eq!(
             (input.n, input.c, input.h, input.w, input.pad),
-            (sh.n, sh.c, sh.h, sh.w, self.input_pad),
+            (sh.n, sh.c, sh.h, sh.w, self.input_pad()),
             "input mismatch"
         );
         assert_eq!((weights.k, weights.c), (sh.k, sh.c), "filter mismatch");
-        assert_eq!(
-            (output.n, output.c, output.h, output.w, output.pad),
-            (sh.n, sh.k, sh.p(), sh.q(), self.out_pad),
-            "output mismatch"
-        );
-        let kpad = sh.k.next_multiple_of(VLEN);
-        assert!(mult.len() >= kpad, "mult shorter than the padded channel count");
-        if self.fused.needs_bias() {
-            assert!(
-                ctx.bias.is_some_and(|b| b.len() >= kpad),
-                "bias missing or shorter than the padded channel count"
-            );
-        }
-        if self.fused.needs_eltwise() {
-            let e = ctx.eltwise.expect("eltwise tensor missing");
-            assert_eq!(
-                (e.n, e.cb, e.h, e.w, e.pad),
-                (output.n, output.cb, output.h, output.w, self.out_pad),
-                "eltwise tensor mismatch"
-            );
-        }
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let fused = self.fused;
-        let inp = SendPtrI16(input.as_ptr());
-        let wt = SendPtrI16(weights.as_ptr());
-        let out = SendMutPtr(output.as_mut_ptr());
-        pool.run(move |pctx| {
-            let s = &streams[pctx.tid];
-            // SAFETY: geometry validated above; threads own disjoint
-            // tiles, and every tile's APPLY follows its last reduction.
-            unsafe {
-                s.replay_quant_fused(kernels, fused, inp.get(), wt.get(), out.get(), mult, ctx)
-            };
-        });
-    }
-
-    /// Raw-pointer execution (duality paths).
-    ///
-    /// # Safety
-    /// Tensors must match the dryrun geometry exactly.
-    pub unsafe fn run_raw(
-        &self,
-        pool: &ThreadPool,
-        input: *const i16,
-        weights: *const i16,
-        out: *mut i32,
-    ) {
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let inp = SendPtrI16(input);
-        let wt = SendPtrI16(weights);
-        let o = SendPtrI32(out);
-        pool.run(move |ctx| {
-            // SAFETY: per run_raw's contract.
-            unsafe { streams[ctx.tid].replay_quant(kernels, inp.get(), wt.get(), o.get()) };
-        });
-    }
-
-    /// Output geometry (for the duality wrapper).
-    pub fn out_geom(&self) -> &OutGeom {
-        &self.out_geom
     }
 }
 
-/// Planned int16 backward pass (duality only — the strided-spatial
-/// fallback has no int16 counterpart in the paper either).
+/// Planned int16 backward pass: the f32 backward duality (Section
+/// II-I) over int16 kernels.
 pub struct QuantBwdPlan {
     shape: ConvShape,
     dual: QuantFwdPlan,
-    dual_pad: usize,
 }
 
 impl QuantBwdPlan {
-    /// Build the dual plan. Panics for strided spatial filters.
-    /// The `fuse`/`out_pad` fields of `opts` are ignored (duality plans
-    /// are raw int32 producers with their own output geometry).
-    pub fn new(shape: ConvShape, opts: &QuantOptions) -> Self {
-        let raw = QuantOptions {
-            fuse: FusedOp::None,
-            out_pad: 0,
-            input_pad: None,
-            blocking: None,
-            ..opts.clone()
+    /// Derive the duality and dryrun the dual plan with the team size,
+    /// backend, prefetch and chain limit of `opts` (the dual plan reads
+    /// dO at the dual padding and writes raw int32 dI, so the padding
+    /// and fusion settings do not apply).
+    ///
+    /// # Panics
+    /// With "int16 backward supports …" for every shape the f32
+    /// backward sends to its Algorithm 7 GEMM fallback (strided spatial
+    /// or non-square filters): that fallback has no int16 counterpart,
+    /// in the paper either.
+    pub fn new(shape: ConvShape, opts: &LayerOptions) -> Self {
+        let (_, dual) = duality(&shape, 0);
+        let Some((dual, out_geom)) = dual else {
+            panic!("int16 backward supports stride-1 square or 1x1 layers (as does the paper)")
         };
-        if shape.stride == 1 {
-            let dual_pad = shape.r - 1 - shape.pad;
-            let dual = ConvShape::new(
-                shape.n,
-                shape.k,
-                shape.c,
-                shape.p(),
-                shape.q(),
-                shape.r,
-                shape.s,
-                1,
-                dual_pad,
-            );
-            let geom = OutGeom::dense(&dual);
-            let plan = QuantFwdPlan::new(dual, &raw.with_out_geom(geom));
-            Self { shape, dual: plan, dual_pad }
-        } else if shape.r == 1 && shape.s == 1 {
-            let dual = ConvShape::new(shape.n, shape.k, shape.c, shape.p(), shape.q(), 1, 1, 1, 0);
-            let di_row = shape.w * VLEN;
-            let geom = OutGeom {
-                row_stride: shape.stride * di_row,
-                col_stride: shape.stride * VLEN,
-                kb_stride: shape.h * di_row,
-                n_stride: shape.cb() * shape.h * di_row,
-                base: 0,
-            };
-            let plan = QuantFwdPlan::new(dual, &raw.with_out_geom(geom));
-            Self { shape, dual: plan, dual_pad: 0 }
-        } else {
-            panic!("int16 backward supports stride-1 or 1x1 layers (as does the paper)")
-        }
+        let blocking = chain_bounded(&dual, blocking::choose(&dual), opts.chain_limit);
+        Self { shape, dual: QuantFwdPlan::with_out_geom(dual, opts, blocking, out_geom) }
     }
 
     /// Physical padding required on the int16 dO tensor.
     pub fn dout_pad(&self) -> usize {
-        self.dual_pad
+        self.dual.shape().pad
     }
 
     /// Execute `dinput = conv_bwd(dout, weights)`.
@@ -413,10 +180,11 @@ impl QuantBwdPlan {
     ) {
         let sh = &self.shape;
         assert_eq!((dout.n, dout.c, dout.h, dout.w), (sh.n, sh.k, sh.p(), sh.q()));
-        assert_eq!(dout.pad, self.dual_pad, "dout must carry the dual padding");
+        assert_eq!(dout.pad, self.dout_pad(), "dout must carry the dual padding");
         assert_eq!((dinput.n, dinput.k, dinput.h, dinput.w), (sh.n, sh.c, sh.h, sh.w));
         let wt = VnniFilter::quantize(&weights.transpose_flip(), w_scale);
         if sh.stride > 1 {
+            // strided dual writes leave the other dI pixels untouched
             dinput.zero();
         }
         // SAFETY: dual plan geometry matches.
@@ -461,7 +229,7 @@ impl QuantUpdPlan {
         let (p_dim, q_dim) = (sh.p(), sh.q());
         let qp = q_dim.div_ceil(2); // pixel pairs per row (odd Q padded)
         let tasks = sh.kb() * sh.cb() * sh.r * sh.s;
-        let dw = SendPtrI32(dweights.as_mut_ptr());
+        let dw = SendMutPtr(dweights.as_mut_ptr());
         let shv = *sh;
         let in_t = input;
         let do_t = dout;
@@ -567,28 +335,6 @@ unsafe fn quant_upd_rows_vnni(acc: &mut [[i32; VLEN]; VLEN], it: &[i16], dot: &[
     }
 }
 
-#[derive(Clone, Copy)]
-struct SendPtrI16(*const i16);
-unsafe impl Send for SendPtrI16 {}
-unsafe impl Sync for SendPtrI16 {}
-impl SendPtrI16 {
-    #[inline]
-    fn get(&self) -> *const i16 {
-        self.0
-    }
-}
-
-#[derive(Clone, Copy)]
-struct SendPtrI32(*mut i32);
-unsafe impl Send for SendPtrI32 {}
-unsafe impl Sync for SendPtrI32 {}
-impl SendPtrI32 {
-    #[inline]
-    fn get(&self) -> *mut i32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,10 +379,8 @@ mod tests {
             (ConvShape::new(1, 32, 32, 8, 8, 1, 1, 2, 0), 2),
         ] {
             let pool = ThreadPool::new(threads);
-            let plan = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(threads).with_prefetch(false).with_chain_limit(2),
-            );
+            let opts = LayerOptions::new(threads).with_prefetch(false).with_chain_limit(2);
+            let plan = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
             let x = VnniActs::random(shape.n, shape.c, shape.h, shape.w, shape.pad, 3);
             let w = VnniFilter::random(shape.k, shape.c, shape.r, shape.s, 4);
             let mut out = BlockedI32::zeros(shape.n, shape.k, shape.p(), shape.q());
@@ -657,16 +401,15 @@ mod tests {
         let bias: Vec<f32> = (0..32).map(|k| 0.05 * k as f32 - 0.8).collect();
         let residual = BlockedActs::random(2, 32, 8, 8, 1, 5);
 
-        let raw = QuantFwdPlan::new(shape, &QuantOptions::new(threads).with_prefetch(false));
+        let opts = LayerOptions::new(threads).with_prefetch(false);
+        let raw = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
         let mut acc = BlockedI32::zeros(2, 32, 8, 8);
         raw.run(&pool, &x, &w, &mut acc);
 
         for fuse in [FusedOp::Bias, FusedOp::BiasRelu, FusedOp::BiasEltwiseRelu] {
             // fused plan writes into a pad-1 padded output blob
-            let fused = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(threads).with_prefetch(false).with_fuse(fuse).with_out_pad(1),
-            );
+            let fused_opts = opts.clone().with_fuse(fuse).with_out_pad(1);
+            let fused = QuantFwdPlan::new(shape, &fused_opts, blocking::choose(&shape));
             assert_eq!(fused.fused(), fuse);
             let mut out = BlockedActs::zeros(2, 32, 8, 8, 1);
             let ctx =
@@ -708,10 +451,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut results = Vec::new();
         for chain in [1usize, 2, 4, 8] {
-            let plan = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(2).with_prefetch(false).with_chain_limit(chain),
-            );
+            let opts = LayerOptions::new(2).with_prefetch(false).with_chain_limit(chain);
+            let plan = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
             let mut out = BlockedI32::zeros(1, 16, 6, 6);
             plan.run(&pool, &x, &w, &mut out);
             results.push(out.as_slice().to_vec());
@@ -726,7 +467,7 @@ mod tests {
         let shape = ConvShape::new(1, 32, 32, 6, 6, 3, 3, 1, 1);
         let threads = 3;
         let pool = ThreadPool::new(threads);
-        let plan = QuantBwdPlan::new(shape, &QuantOptions::new(threads).with_prefetch(false));
+        let plan = QuantBwdPlan::new(shape, &LayerOptions::new(threads).with_prefetch(false));
         // f32 master weights with integer values so quantization at
         // scale 1.0 is exact
         let wq = VnniFilter::random(32, 32, 3, 3, 9);
@@ -772,6 +513,98 @@ mod tests {
             }
         }
         assert_eq!(expect.as_slice(), gx.as_slice());
+    }
+
+    /// Naive int32 backward on the vnni tensors:
+    /// `dI[c][ij][ii] += dO[k][oj][oi] · W[k][c][r][s]`.
+    fn bwd_ref(sh: &ConvShape, gy: &VnniActs, w: &VnniFilter) -> BlockedI32 {
+        let mut expect = BlockedI32::zeros(sh.n, sh.c, sh.h, sh.w);
+        for n in 0..sh.n {
+            for k in 0..sh.k {
+                for c in 0..sh.c {
+                    for oj in 0..sh.p() {
+                        for oi in 0..sh.q() {
+                            let g = gy.get(n, k, oj, oi) as i32;
+                            for r in 0..sh.r {
+                                for s in 0..sh.s {
+                                    let ij = (sh.stride * oj + r) as isize - sh.pad as isize;
+                                    let ii = (sh.stride * oi + s) as isize - sh.pad as isize;
+                                    if (0..sh.h as isize).contains(&ij)
+                                        && (0..sh.w as isize).contains(&ii)
+                                    {
+                                        let (ij, ii) = (ij as usize, ii as usize);
+                                        let cur = expect.get(n, c, ij, ii);
+                                        expect.set(
+                                            n,
+                                            c,
+                                            ij,
+                                            ii,
+                                            cur + g * w.get(k, c, r, s) as i32,
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        expect
+    }
+
+    #[test]
+    fn quant_bwd_matches_naive_on_every_duality_shape() {
+        for shape in [
+            ConvShape::new(2, 32, 16, 7, 7, 3, 3, 1, 1),
+            ConvShape::new(1, 16, 32, 6, 6, 1, 1, 1, 0),
+            ConvShape::new(2, 32, 16, 8, 8, 1, 1, 2, 0),
+            // odd extent: the last dI row/col receives no gradient
+            ConvShape::new(1, 16, 16, 9, 9, 1, 1, 2, 0),
+        ] {
+            let threads = 3;
+            let pool = ThreadPool::new(threads);
+            let plan = QuantBwdPlan::new(shape, &LayerOptions::new(threads));
+            // integer-valued f32 master weights: quantization at scale
+            // 1.0 is exact
+            let wq = VnniFilter::random(shape.k, shape.c, shape.r, shape.s, 9);
+            let mut wf = BlockedFilter::zeros(shape.k, shape.c, shape.r, shape.s);
+            for k in 0..shape.k {
+                for c in 0..shape.c {
+                    for r in 0..shape.r {
+                        for s in 0..shape.s {
+                            wf.set(k, c, r, s, wq.get(k, c, r, s) as f32);
+                        }
+                    }
+                }
+            }
+            let gy = VnniActs::random(shape.n, shape.k, shape.p(), shape.q(), plan.dout_pad(), 10);
+            let mut gx = BlockedI32::zeros(shape.n, shape.c, shape.h, shape.w);
+            plan.run(&pool, &gy, &wf, 1.0, &mut gx);
+            assert_eq!(bwd_ref(&shape, &gy, &wq).as_slice(), gx.as_slice(), "{shape}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "int16 backward supports")]
+    fn quant_bwd_rejects_non_square_filters() {
+        let _ =
+            QuantBwdPlan::new(ConvShape::new(1, 16, 16, 8, 8, 1, 3, 1, 0), &LayerOptions::new(1));
+    }
+
+    #[test]
+    fn quant_bwd_rejects_every_gemm_fallback_shape() {
+        // the f32 path's GEMM-fallback shapes: padded non-square,
+        // strided spatial, the strided 7×7 first conv
+        for shape in [
+            ConvShape::new(1, 16, 16, 8, 8, 1, 3, 1, 1),
+            ConvShape::new(1, 16, 16, 8, 8, 3, 3, 2, 1),
+            ConvShape::new(1, 16, 16, 20, 20, 7, 7, 2, 3),
+        ] {
+            assert_eq!(crate::bwd::duality(&shape, 0).0, crate::bwd::BwdKind::GemmFallback);
+            let built =
+                std::panic::catch_unwind(|| QuantBwdPlan::new(shape, &LayerOptions::new(1)));
+            assert!(built.is_err(), "{shape} must be rejected");
+        }
     }
 
     #[test]

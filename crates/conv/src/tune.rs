@@ -227,22 +227,8 @@ fn micro_bench(
     // the candidate plans are built with the layer's own backend and
     // thread count; fusion is irrelevant to the blocking choice, so
     // the probe plans stay unfused and share one set of tensors
-    let plans: Vec<FwdPlan> = cands
-        .iter()
-        .map(|&b| {
-            FwdPlan::with_pads(
-                *shape,
-                b,
-                opts.threads,
-                opts.backend,
-                opts.prefetch,
-                FusedOp::None,
-                None,
-                input_pad,
-                0,
-            )
-        })
-        .collect();
+    let probe = opts.clone().with_fuse(FusedOp::None).with_out_pad(0);
+    let plans: Vec<FwdPlan> = cands.iter().map(|&b| FwdPlan::new(*shape, &probe, b)).collect();
     // warmup pass: JITs + warms the process-wide kernel cache so the
     // timed rounds below replay pure streams
     for plan in &plans {

@@ -19,9 +19,11 @@
 //! `VLEN × VLEN`-panel microkernel of Algorithm 9 with the spatial
 //! `BP × BQ` blocking from [`crate::blocking`].
 
-use crate::backend::{Backend, UpdKernel};
-use crate::blocking::Blocking;
+use crate::backend::UpdKernel;
+use crate::blocking::{tile_extents, Blocking};
+use crate::bwd::dual_dout_pad;
 use crate::fwd::{SendConstPtr, SendMutPtr};
+use crate::layer::LayerOptions;
 use machine::MachineModel;
 use microkernel::UpdShape;
 use parallel::{split_even, ThreadPool};
@@ -86,122 +88,71 @@ pub fn choose_copies(shape: &ConvShape, t: usize, _machine: &MachineModel) -> us
     best.1
 }
 
-/// Enumerate every [`UpdShape`] variant an update dryrun for
-/// `(shape, blocking)` can generate (unpadded dO, `shape.pad` physical
-/// input padding): the main `upd_bp`-row tile and the spatial
-/// remainder. Counterpart of [`crate::fwd::kernel_shape_variants`] for
-/// the `verify-kernels` sweep and the verifier property tests.
-pub fn upd_shape_variants(shape: &ConvShape, blocking: &Blocking, prefetch: bool) -> Vec<UpdShape> {
-    let in_row = (shape.w + 2 * shape.pad) * VLEN;
-    let do_row = shape.q() * VLEN;
-    let p = shape.p();
-    let mut rows_needed = vec![blocking.upd_bp.min(p)];
-    if !p.is_multiple_of(blocking.upd_bp) {
-        rows_needed.push(p % blocking.upd_bp);
-    }
-    rows_needed.sort_unstable();
-    rows_needed.dedup();
-    rows_needed
+/// The update kernel variants a dryrun generates, one per distinct
+/// row-tile extent (the main `upd_bp`-row tile and the spatial
+/// remainder), for an input carrying `input_pad` and a dO carrying
+/// `dout_pad` physical padding.
+fn row_variants(
+    shape: &ConvShape,
+    blocking: &Blocking,
+    input_pad: usize,
+    dout_pad: usize,
+    prefetch: bool,
+) -> Vec<UpdShape> {
+    let in_row_stride = (shape.w + 2 * input_pad) * VLEN;
+    let do_row_stride = (shape.q() + 2 * dout_pad) * VLEN;
+    tile_extents(shape.p(), blocking.upd_bp)
         .into_iter()
-        .map(|rows| UpdShape {
-            bp: rows,
+        .map(|bp| UpdShape {
+            bp,
             bq: shape.q(),
             stride: shape.stride,
-            in_row_stride: in_row,
-            do_row_stride: do_row,
+            in_row_stride,
+            do_row_stride,
             prefetch,
         })
         .collect()
 }
 
+/// Enumerate every [`UpdShape`] variant an update dryrun for
+/// `(shape, blocking)` can generate (unpadded dO, `shape.pad` physical
+/// input padding). Counterpart of [`crate::fwd::kernel_shape_variants`]
+/// for the `verify-kernels` sweep and the verifier property tests.
+pub fn upd_shape_variants(shape: &ConvShape, blocking: &Blocking, prefetch: bool) -> Vec<UpdShape> {
+    row_variants(shape, blocking, shape.pad, 0, prefetch)
+}
+
 impl UpdPlan {
-    /// Dryrun: choose strategy, generate kernels.
-    pub fn new(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-    ) -> Self {
-        Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, machine, dout_pad, shape.pad,
-        )
-    }
-
-    /// As [`UpdPlan::new`] but with the copy count forced (ablations).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_forced_copies(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-        input_pad: usize,
-        copies: usize,
-    ) -> Self {
-        assert!(copies >= 1 && nthreads.is_multiple_of(copies), "copies must divide the team");
-        let mut plan = Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, machine, dout_pad, input_pad,
-        );
-        plan.copies = copies;
-        plan
-    }
-
-    /// As [`UpdPlan::new`] with an input tensor carrying `input_pad`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_input_pad(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-        input_pad: usize,
-    ) -> Self {
+    /// Dryrun: choose the copy count with `opts.machine`'s bandwidth
+    /// model and generate the kernels, for an input carrying
+    /// `opts.input_pad` (default: the conv's pad) and a dO carrying
+    /// `opts.dout_pad` (default: the duality-optimal padding) physical
+    /// padding.
+    pub fn new(shape: ConvShape, opts: &LayerOptions, blocking: Blocking) -> Self {
+        let input_pad = opts.input_pad.unwrap_or(shape.pad);
         assert!(input_pad >= shape.pad);
-        let copies = choose_copies(&shape, nthreads, machine);
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let do_row = (shape.q() + 2 * dout_pad) * VLEN;
+        let dout_pad = opts.dout_pad.unwrap_or_else(|| dual_dout_pad(&shape));
         assert_eq!(blocking.upd_bq, shape.q(), "update kernels sweep full rows");
-        let mut kernels = Vec::new();
-        let mut variant_of_rows = HashMap::new();
-        let p = shape.p();
-        let mut rows_needed = vec![blocking.upd_bp.min(p)];
-        if !p.is_multiple_of(blocking.upd_bp) {
-            rows_needed.push(p % blocking.upd_bp);
-        }
-        for rows in rows_needed {
-            variant_of_rows.entry(rows).or_insert_with(|| {
-                kernels.push(UpdKernel::cached(
-                    UpdShape {
-                        bp: rows,
-                        bq: shape.q(),
-                        stride: shape.stride,
-                        in_row_stride: in_row,
-                        do_row_stride: do_row,
-                        prefetch,
-                    },
-                    backend,
-                ));
-                kernels.len() - 1
-            });
-        }
+        let variants = row_variants(&shape, &blocking, input_pad, dout_pad, opts.prefetch);
         Self {
             shape,
-            copies,
-            kernels,
-            variant_of_rows,
+            copies: choose_copies(&shape, opts.threads, &opts.machine),
+            variant_of_rows: variants.iter().enumerate().map(|(i, v)| (v.bp, i)).collect(),
+            kernels: variants.into_iter().map(|v| UpdKernel::cached(v, opts.backend)).collect(),
             bp: blocking.upd_bp,
-            nthreads,
+            nthreads: opts.threads,
             dout_pad,
             input_pad,
             copy_scratch: Mutex::new(None),
         }
+    }
+
+    /// Force the partial-copy count instead of the modelled choice
+    /// (ablations).
+    pub fn with_copies(mut self, copies: usize) -> Self {
+        assert!(copies >= 1 && self.nthreads.is_multiple_of(copies), "copies must divide the team");
+        self.copies = copies;
+        self
     }
 
     /// The chosen number of partial dW copies.
@@ -369,8 +320,7 @@ mod tests {
     fn run_case(shape: ConvShape, threads: usize, force_copies: Option<usize>) -> usize {
         let pool = ThreadPool::new(threads);
         let b = blocking::choose(&shape);
-        let mut plan =
-            UpdPlan::new(shape, b, threads, Backend::Auto, true, &MachineModel::skx(), 0);
+        let mut plan = UpdPlan::new(shape, &LayerOptions::new(threads).with_dout_pad(0), b);
         if let Some(g) = force_copies {
             assert_eq!(threads % g, 0);
             plan.copies = g;
@@ -416,7 +366,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut b = blocking::choose(&shape);
         b.upd_bp = 4; // 10 = 4 + 4 + 2 -> remainder variant
-        let plan = UpdPlan::new(shape, b, 2, Backend::Auto, false, &MachineModel::skx(), 0);
+        let opts = LayerOptions::new(2).with_prefetch(false).with_dout_pad(0);
+        let plan = UpdPlan::new(shape, &opts, b);
         assert_eq!(plan.kernels.len(), 2);
         let x = Nchw::random(1, 16, 10, 10, 5);
         let gy = Nchw::random(1, 16, 10, 10, 6);
@@ -435,7 +386,8 @@ mod tests {
         let shape = ConvShape::new(4, 32, 32, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(4);
         let b = blocking::choose(&shape);
-        let mut plan = UpdPlan::new(shape, b, 4, Backend::Auto, false, &MachineModel::skx(), 0);
+        let opts = LayerOptions::new(4).with_prefetch(false).with_dout_pad(0);
+        let mut plan = UpdPlan::new(shape, &opts, b);
         plan.copies = 4; // force the partial-copy path
         let x = Nchw::random(4, 32, 8, 8, 5);
         let gy = Nchw::random(4, 32, 8, 8, 6);
@@ -479,8 +431,8 @@ mod tests {
         for threads in [1usize, 2, 6] {
             let pool = ThreadPool::new(threads);
             let b = blocking::choose(&shape);
-            let plan =
-                UpdPlan::new(shape, b, threads, Backend::Auto, false, &MachineModel::skx(), 0);
+            let opts = LayerOptions::new(threads).with_prefetch(false).with_dout_pad(0);
+            let plan = UpdPlan::new(shape, &opts, b);
             let mut dwb = BlockedFilter::zeros(32, 32, 3, 3);
             plan.run(&pool, &xb, &gyb, &mut dwb);
             outs.push(dwb.as_slice().to_vec());

@@ -6,8 +6,9 @@
 //! the same legality invariants `blocking_properties.rs` pins for the
 //! f32 engine.
 
-use conv::blocking::{MAX_ACC, MIN_CHAINS};
-use conv::quant::{QuantFwdPlan, QuantOptions};
+use conv::blocking::{self, MAX_ACC, MIN_CHAINS};
+use conv::quant::QuantFwdPlan;
+use conv::LayerOptions;
 use parallel::ThreadPool;
 use proptest::prelude::*;
 use tensor::vnni::{rne_sat_i8, BlockedI32, I8_QMAX};
@@ -101,12 +102,14 @@ proptest! {
         let xq = VnniActs::random(1, 128, 6, 6, 0, 3);
         let wq = VnniFilter::random(16, 128, 1, 1, 4);
         let reference = {
-            let plan = QuantFwdPlan::new(shape, &QuantOptions::new(2).with_chain_limit(1));
+            let opts = LayerOptions::new(2).with_chain_limit(1);
+            let plan = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
             let mut out = BlockedI32::zeros(1, 16, 6, 6);
             plan.run(&pool, &xq, &wq, &mut out);
             out.as_slice().to_vec()
         };
-        let plan = QuantFwdPlan::new(shape, &QuantOptions::new(2).with_chain_limit(chain));
+        let opts = LayerOptions::new(2).with_chain_limit(chain);
+        let plan = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
         let mut out = BlockedI32::zeros(1, 16, 6, 6);
         plan.run(&pool, &xq, &wq, &mut out);
         prop_assert_eq!(reference, out.as_slice().to_vec(), "chain={}", chain);
@@ -136,10 +139,8 @@ proptest! {
         prop_assume!(h + 2 * pad >= r && w + 2 * pad >= r);
         let shape = ConvShape::new(1, cb * VLEN, kb * VLEN, h, w, r, r, stride, pad);
         let (p, q) = (shape.p(), shape.q());
-        let plan = QuantFwdPlan::new(
-            shape,
-            &QuantOptions::new(threads).with_chain_limit(chain),
-        );
+        let opts = LayerOptions::new(threads).with_chain_limit(chain);
+        let plan = QuantFwdPlan::new(shape, &opts, blocking::choose(&shape));
         let b = plan.blocking();
 
         prop_assert!(b.rbp * b.rbq <= MAX_ACC, "{}: {:?}", shape, b);

@@ -25,9 +25,13 @@
 //! output plus the three prefetch pointers, exactly the kernel-streams
 //! replay ABI of Algorithm 5.
 //!
-//! On hosts without AVX-512 (or sandboxes denying executable mappings,
-//! see [`jit_available`]) engines fall back to the monomorphized
-//! intrinsics kernels in the `microkernel` crate.
+//! Where the JIT is unavailable (see [`jit_available`]), engines use
+//! the monomorphized intrinsics kernels of the `microkernel` crate —
+//! but those need AVX-512 too (`select_fwd`, `select_upd` and
+//! `select_quant` all check for it), so they serve only AVX-512 hosts
+//! that deny executable mappings, plus the int16 path on AVX-512 hosts
+//! without VNNI (the JIT int16 kernels need VNNI). Hosts without
+//! AVX-512 run the scalar kernels.
 
 pub mod buffer;
 pub mod emit;
