@@ -27,7 +27,7 @@ use crate::fuse::{apply_tile_requant, ApplyRec, FuseCtx, FusedOp};
 use crate::fwd::{ConvPlan, OutGeom, SendMutPtr};
 use crate::layer::LayerOptions;
 use parallel::{split_even, ThreadPool};
-use tensor::vnni::BlockedI32;
+use tensor::vnni::{quantize_plane, BlockedI32};
 use tensor::{BlockedActs, BlockedFilter, ConvShape, VnniActs, VnniFilter, VLEN};
 
 /// Default accumulation-chain bound in channel blocks (64 channels).
@@ -132,6 +132,47 @@ impl QuantFwdPlan {
         );
         assert_eq!((weights.k, weights.c), (sh.k, sh.c), "filter mismatch");
     }
+}
+
+/// Quantize `src` per channel into `dst` across the team:
+/// `dst = rne_sat_i8(src · inv_scale[c])`, one `[Hp][Wp][VLEN]` plane
+/// ([`quantize_plane`]) at a time, the `n · Cb` planes split evenly over
+/// the threads. `dst` is a reusable scratch: the executor quantizes
+/// every conv input into one geometry-keyed scratch instead of
+/// reallocating.
+///
+/// `inv_scale` must cover the padded channel count (`cb · VLEN`).
+/// Geometry (incl. physical padding) must match `src` exactly; the zero
+/// padding quantizes to exact zeros, so a sample's quantized image is
+/// independent of its batch neighbours.
+pub fn quantize_acts(pool: &ThreadPool, src: &BlockedActs, inv_scale: &[f32], dst: &mut VnniActs) {
+    assert_eq!(
+        (dst.n, dst.cb, dst.h, dst.w, dst.pad),
+        (src.n, src.cb, src.h, src.w, src.pad),
+        "quantize scratch geometry mismatch"
+    );
+    assert!(inv_scale.len() >= dst.cb * VLEN, "inv_scale shorter than padded channels");
+    let (plane, cb, planes) = (dst.stride_cb(), dst.cb, dst.n * dst.cb);
+    let src = src.as_slice();
+    let out = dst.as_mut_slice();
+    assert_eq!(out.len(), planes * plane, "scratch length disagrees with its geometry");
+    let out = SendMutPtr(out.as_mut_ptr());
+    pool.run(|ctx| {
+        let mine = ctx.chunk(planes);
+        let (start, len) = (mine.start * plane, mine.len() * plane);
+        // SAFETY: `out` addresses the `planes · plane` elements of `dst`
+        // (length asserted above), which this call borrows mutably
+        // until the region ends, and
+        // `ctx.chunk` hands each thread a disjoint range of planes, so
+        // no two threads' slices overlap.
+        let dst = unsafe { std::slice::from_raw_parts_mut(out.get().add(start), len) };
+        for (i, (d, s)) in
+            dst.chunks_exact_mut(plane).zip(src[start..start + len].chunks_exact(plane)).enumerate()
+        {
+            let c0 = (mine.start + i) % cb * VLEN;
+            quantize_plane(d, s, &inv_scale[c0..c0 + VLEN]);
+        }
+    });
 }
 
 /// Planned int16 backward pass: the f32 backward duality (Section
@@ -439,6 +480,71 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn per_channel_quantize_respects_scales_and_padding() {
+        let mut src = BlockedActs::zeros(1, 32, 3, 3, 1);
+        src.set(0, 0, 1, 1, 0.5);
+        src.set(0, 17, 0, 2, -0.25);
+        let mut inv = vec![1.0f32; 32];
+        inv[0] = 100.0; // scale 0.01
+        inv[17] = 8.0;
+        let mut q = VnniActs::zeros(1, 32, 3, 3, 1);
+        quantize_acts(&ThreadPool::new(1), &src, &inv, &mut q);
+        assert_eq!(q.get(0, 0, 1, 1), 50);
+        assert_eq!(q.get(0, 17, 0, 2), -2);
+        // physical padding must stay exactly zero
+        let off = q.pix_offset_logical(0, 0, -1, -1);
+        for v in 0..VLEN {
+            assert_eq!(q.as_slice()[off + v], 0);
+        }
+    }
+
+    /// The per-element definition `quantize_acts` must reproduce:
+    /// `round_ties_even(x · inv[c])` clamped to `±127`, for every
+    /// logical element through `get`/`set`; padding stays 0.
+    fn quantize_acts_ref(src: &BlockedActs, inv: &[f32]) -> VnniActs {
+        let mut out = VnniActs::zeros(src.n, src.c, src.h, src.w, src.pad);
+        for n in 0..src.n {
+            for (c, &inv_c) in inv.iter().enumerate().take(src.c) {
+                for h in 0..src.h {
+                    for w in 0..src.w {
+                        let v = (src.get(n, c, h, w) * inv_c).round_ties_even();
+                        out.set(n, c, h, w, v.clamp(-127.0, 127.0) as i16);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn team_quantize_matches_the_per_element_definition() {
+        // (n, c, h, w, pad): conv1's input (c = 3: one padded channel
+        // block, pad 3), pad 0 and pad 1 with partial channel blocks;
+        // n·Cb = 2, 3, 9, 4 planes, so 2 and 3 threads split unevenly
+        let geoms = [(2, 3, 9, 7, 3), (1, 40, 5, 6, 0), (3, 33, 4, 4, 1), (1, 64, 3, 5, 1)];
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5, -2.5, 126.5, -0.0, 1e30];
+        for (gi, &(n, c, h, w, pad)) in geoms.iter().enumerate() {
+            let mut x = BlockedActs::random(n, c, h, w, pad, gi as u64);
+            for (i, &v) in specials.iter().enumerate() {
+                x.set(i % n, (5 * i) % c, i % h, (3 * i) % w, v);
+            }
+            // scales from 1 (exact ties stay ties) to far past saturation
+            let cpad = c.next_multiple_of(VLEN);
+            let inv: Vec<f32> = (0..cpad).map(|ch| [1.0, 127.0, 3.0, 1e4, 0.1][ch % 5]).collect();
+            let want = quantize_acts_ref(&x, &inv);
+            for threads in 1..=3 {
+                let pool = ThreadPool::new(threads);
+                // a dirty scratch: the border and the channel-pad lanes
+                // must come out exactly 0, as in the reference
+                let mut got = VnniActs::zeros(n, c, h, w, pad);
+                got.as_mut_slice().fill(-1);
+                quantize_acts(&pool, &x, &inv, &mut got);
+                assert_eq!(got.as_slice(), want.as_slice(), "geom {gi} threads {threads}");
             }
         }
     }

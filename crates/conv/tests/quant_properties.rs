@@ -7,7 +7,7 @@
 //! f32 engine.
 
 use conv::blocking::{self, MAX_ACC, MIN_CHAINS};
-use conv::quant::QuantFwdPlan;
+use conv::quant::{quantize_acts, QuantFwdPlan};
 use conv::LayerOptions;
 use parallel::ThreadPool;
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ proptest! {
         let scale: Vec<f32> = amax.iter().map(|a| a / I8_QMAX).collect();
         let inv: Vec<f32> = scale.iter().map(|s| 1.0 / s).collect();
         let mut xq = VnniActs::zeros(n, c, h, w, 0);
-        xq.quantize_per_channel_into(&x, &inv);
+        quantize_acts(&ThreadPool::new(1), &x, &inv, &mut xq);
         for ch in 0..c {
             for (hh, ww) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                 let v = x.get(0, ch, hh, ww);

@@ -1010,15 +1010,16 @@ impl Network {
         let blob = &self.blobs[self.slot_of[owner]].as_ref().expect("blob in place").act;
         let cpad = blob.cb * VLEN;
         let entry = self.calibrated_amax[owner].get_or_insert_with(|| vec![0.0; cpad]);
+        let row = blob.w * VLEN;
         for n in 0..blob.n {
-            for cb in 0..blob.cb {
+            for (cb, amax) in entry.chunks_exact_mut(VLEN).enumerate() {
+                // the interior rows' pixel vectors, skipping the padding
                 for h in 0..blob.h {
-                    for w in 0..blob.w {
-                        for v in 0..VLEN {
-                            let x = blob.get(n, cb * VLEN + v, h, w).abs();
-                            if x > entry[cb * VLEN + v] {
-                                entry[cb * VLEN + v] = x;
-                            }
+                    let at = blob.pix_offset_logical(n, cb, h as isize, 0);
+                    for px in blob.as_slice()[at..at + row].chunks_exact(VLEN) {
+                        for (a, &x) in amax.iter_mut().zip(px) {
+                            // `>` keeps a NaN from ever becoming the max
+                            *a = if x.abs() > *a { x.abs() } else { *a };
                         }
                     }
                 }
@@ -1259,7 +1260,7 @@ impl Network {
                             .quant_scratch
                             .remove(&key)
                             .unwrap_or_else(|| VnniActs::zeros(a.n, a.c, a.h, a.w, a.pad));
-                        xq.quantize_per_channel_into(a, &qs.inv_sx);
+                        conv::quant::quantize_acts(&self.pool, a, &qs.inv_sx, &mut xq);
                         let bias_ref: Option<&[f32]> = match folded {
                             Some(f) => Some(&f.bias),
                             None => bias.as_ref().map(|b| &b.w[..]).or(qs.zero_bias.as_deref()),
@@ -2573,6 +2574,48 @@ mod tests {
             (0.05..=3.0).contains(&ratio),
             "measured max {mmax} vs derived bound {dmax}: ratio {ratio} out of tolerance"
         );
+    }
+
+    #[test]
+    fn calibration_records_the_per_channel_max_of_the_interior() {
+        // the input blob carries pad 1 (for the 3×3 conv) and 4 pad
+        // lanes (c = 20); its measured amax is the per-channel max |x|
+        // over the logical interior, and a NaN never becomes a maximum
+        let nl = parse_topology(
+            "input name=data c=20 h=5 w=6\n\
+             conv name=c0 bottom=data k=16 r=3 s=3 pad=1\n\
+             bn name=b0 bottom=c0 relu=1\n\
+             gap name=g bottom=b0\n\
+             fc name=logits bottom=g k=4\n\
+             softmaxloss name=loss bottom=logits\n",
+        )
+        .unwrap();
+        let cache = PlanCache::new();
+        let pool = Arc::new(ThreadPool::new(2));
+        let mut net = Network::build_with(&nl, 2, pool, int8(), &cache).unwrap();
+        let x = net.input_mut();
+        assert_eq!(x.pad, 1, "the scan must skip a physical border");
+        let mut rng = SplitMix64::new(7);
+        let mut want = [0.0f32; 2 * VLEN];
+        for n in 0..2 {
+            for c in 0..20 {
+                for h in 0..5 {
+                    for w in 0..6 {
+                        let v = 4.0 * rng.next_f32() - 2.0;
+                        x.set(n, c, h, w, v);
+                        want[c] = want[c].max(v.abs());
+                    }
+                }
+            }
+        }
+        x.set(1, 7, 4, 5, f32::NAN);
+        want[7] = (0..2)
+            .flat_map(|n| (0..5).flat_map(move |h| (0..6).map(move |w| (n, h, w))))
+            .filter(|&p| p != (1, 4, 5))
+            .map(|(n, h, w)| x.get(n, 7, h, w).abs())
+            .fold(0.0, f32::max);
+        net.calibrate_batch();
+        assert_eq!(net.calibrated_amax_of("data").expect("input blob recorded"), &want[..]);
     }
 
     #[test]

@@ -28,11 +28,39 @@ use crate::shape::VLEN;
 pub const I8_QMAX: f32 = 127.0;
 
 /// Round-to-nearest-even quantization saturating at the symmetric i8
-/// edges `[-127, 127]`. NaN inputs quantize to 0 (Rust's saturating
-/// float→int cast), so a degenerate scale can never poison the tensor.
+/// edges `[-127, 127]`. NaN inputs quantize to 0, so a degenerate scale
+/// can never poison the tensor.
+///
+/// Equal to `v.round_ties_even().clamp(-127.0, 127.0) as i16` for every
+/// f32, but free of the `roundevenf` library call that `round_ties_even`
+/// becomes without SSE4.1 and of the saturating float→int cast, so the
+/// loops calling it vectorize: after the clamp, `v + 1.5·2²³` lies in
+/// `[2²³, 2²⁴)` where the f32 spacing is 1, so the add rounds `v` to the
+/// nearest even integer in the default rounding mode, and that integer
+/// is the sum's mantissa offset from `1.5·2²³`.
 #[inline]
 pub fn rne_sat_i8(v: f32) -> i16 {
-    v.round_ties_even().clamp(-I8_QMAX, I8_QMAX) as i16
+    const ROUND: f32 = 12_582_912.0; // 1.5 · 2²³
+    let v = if v.is_nan() { 0.0 } else { v.clamp(-I8_QMAX, I8_QMAX) };
+    ((v + ROUND).to_bits() as i32 - ROUND.to_bits() as i32) as i16
+}
+
+/// Quantize one `[Hp][Wp][VLEN]` activation plane per channel lane:
+/// `dst[i] = rne_sat_i8(src[i] · inv_scale[i % VLEN])`. Zero padding in
+/// `src` quantizes to exact zeros.
+///
+/// # Panics
+/// If `dst` and `src` differ in length, the length is not a multiple of
+/// `VLEN`, or `inv_scale` does not hold exactly `VLEN` scales.
+pub fn quantize_plane(dst: &mut [i16], src: &[f32], inv_scale: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "plane length mismatch");
+    assert_eq!(src.len() % VLEN, 0, "plane is not whole pixel vectors");
+    let inv: &[f32; VLEN] = inv_scale.try_into().expect("one inverse scale per lane");
+    for (d, s) in dst.chunks_exact_mut(VLEN).zip(src.chunks_exact(VLEN)) {
+        for ((d, &x), &i) in d.iter_mut().zip(s).zip(inv) {
+            *d = rne_sat_i8(x * i);
+        }
+    }
 }
 
 /// Blocked int16 activations `[N][Cb][Hp][Wp][VLEN]`.
@@ -136,34 +164,6 @@ impl VnniActs {
         out
     }
 
-    /// Per-channel int8-range quantization into this tensor (which acts
-    /// as a reusable scratch buffer: the executor quantizes every conv
-    /// input into one geometry-keyed scratch instead of reallocating).
-    ///
-    /// `q[c] = rne_sat_i8(x[c] · inv_scale[c])` — round-to-nearest-even,
-    /// saturating at `±127`. `inv_scale` must cover the padded channel
-    /// count (`cb · VLEN`). Geometry (incl. physical padding) must match
-    /// `src` exactly; the zero padding quantizes to exact zeros, so a
-    /// sample's quantized image is independent of its batch neighbours.
-    pub fn quantize_per_channel_into(&mut self, src: &crate::BlockedActs, inv_scale: &[f32]) {
-        assert_eq!(
-            (self.n, self.cb, self.h, self.w, self.pad),
-            (src.n, src.cb, src.h, src.w, src.pad),
-            "quantize scratch geometry mismatch"
-        );
-        assert!(inv_scale.len() >= self.cb * VLEN, "inv_scale shorter than padded channels");
-        let chunk = self.stride_cb();
-        let cb_total = self.cb;
-        for (ci, (dst, s)) in
-            self.data.as_mut_slice().chunks_mut(chunk).zip(src.as_slice().chunks(chunk)).enumerate()
-        {
-            let inv = &inv_scale[(ci % cb_total) * VLEN..(ci % cb_total) * VLEN + VLEN];
-            for (i, (d, x)) in dst.iter_mut().zip(s).enumerate() {
-                *d = rne_sat_i8(x * inv[i % VLEN]);
-            }
-        }
-    }
-
     /// Raw pointer.
     #[inline]
     pub fn as_ptr(&self) -> *const i16 {
@@ -251,32 +251,55 @@ impl VnniFilter {
     ///
     /// The effective weight is `w'[k,c] = w[k,c] · act_scale[c]`; each
     /// output channel gets `scale[k] = amax_c,r,s |w'[k]| / 127` (1.0
-    /// for an all-zero channel, so downstream requantization never
-    /// divides by zero or produces NaN) and `q = rne_sat_i8(w'/scale[k])`.
-    /// Because the activation scales are folded in here, `scale[k]` is
-    /// exactly the requantization multiplier that converts the int32
-    /// accumulator back to f32. The returned vector covers the padded
-    /// channel count (`kb · VLEN`, pad lanes 1.0).
+    /// for an all-zero or non-finite channel, so downstream
+    /// requantization never divides by zero or produces NaN) and
+    /// `q = rne_sat_i8(w'/scale[k])`. Because the activation scales are
+    /// folded in here, `scale[k]` is exactly the requantization
+    /// multiplier that converts the int32 accumulator back to f32. The
+    /// returned vector covers the padded channel count (`kb · VLEN`,
+    /// pad lanes 1.0).
     pub fn quantize_per_k(src: &crate::BlockedFilter, act_scale: &[f32]) -> (Self, Vec<f32>) {
         assert!(act_scale.len() >= src.c, "act_scale shorter than input channels");
         let mut out = Self::zeros(src.k, src.c, src.r, src.s);
         let mut mult = vec![1.0f32; out.kb * VLEN];
-        for (k, mult_k) in mult.iter_mut().enumerate().take(src.k) {
-            let mut amax = 0.0f32;
-            for (c, &sx) in act_scale.iter().enumerate().take(src.c) {
-                for r in 0..src.r {
-                    for s in 0..src.s {
-                        amax = amax.max((src.get(k, c, r, s) * sx).abs());
+        let panel = VLEN * VLEN;
+        // the live input channels of block `cb` (pad rows stay zero)
+        let sx_of = |cb: usize| &act_scale[cb * VLEN..src.c.min((cb + 1) * VLEN)];
+        let kb_blocks = src.as_slice().chunks_exact(src.stride_kb());
+        let q_blocks = out.data.as_mut_slice().chunks_exact_mut(src.stride_kb());
+        for (kb, ((w_kb, q_kb), mult_kb)) in
+            kb_blocks.zip(q_blocks).zip(mult.chunks_exact_mut(VLEN)).enumerate()
+        {
+            // pass 1: per-lane amax over every [c][k] panel of the block
+            let mut amax = [0.0f32; VLEN];
+            for (cb, w_cb) in w_kb.chunks_exact(src.stride_cb()).enumerate() {
+                for w_tap in w_cb.chunks_exact(panel) {
+                    for (row, &sx) in w_tap.chunks_exact(VLEN).zip(sx_of(cb)) {
+                        for (a, &w) in amax.iter_mut().zip(row) {
+                            *a = a.max((w * sx).abs());
+                        }
                     }
                 }
             }
-            let scale = if amax > 0.0 { amax / I8_QMAX } else { 1.0 };
-            *mult_k = scale;
-            let inv = 1.0 / scale;
-            for (c, &sx) in act_scale.iter().enumerate().take(src.c) {
-                for r in 0..src.r {
-                    for s in 0..src.s {
-                        out.set(k, c, r, s, rne_sat_i8(src.get(k, c, r, s) * sx * inv));
+            // lanes past `k` keep scale 1.0 and get inverse 0, which
+            // quantizes them to exact zeros whatever the source holds
+            // (0·x is ±0 or NaN, both → 0)
+            let mut inv = [0.0f32; VLEN];
+            let live = (src.k - kb * VLEN).min(VLEN);
+            for ((m, i), &a) in mult_kb.iter_mut().zip(&mut inv).zip(&amax).take(live) {
+                *m = if a > 0.0 && a.is_finite() { a / I8_QMAX } else { 1.0 };
+                *i = 1.0 / *m;
+            }
+            // pass 2: [c][k] rows into the pair-interleaved [c/2][k][2]
+            let cbs =
+                w_kb.chunks_exact(src.stride_cb()).zip(q_kb.chunks_exact_mut(src.stride_cb()));
+            for (cb, (w_cb, q_cb)) in cbs.enumerate() {
+                for (w_tap, q_tap) in w_cb.chunks_exact(panel).zip(q_cb.chunks_exact_mut(panel)) {
+                    for (c, (row, &sx)) in w_tap.chunks_exact(VLEN).zip(sx_of(cb)).enumerate() {
+                        let pairs = &mut q_tap[(c / 2) * 2 * VLEN..][..2 * VLEN];
+                        for ((q, &w), &i) in pairs.chunks_exact_mut(2).zip(row).zip(&inv) {
+                            q[c % 2] = rne_sat_i8(w * sx * i);
+                        }
                     }
                 }
             }
@@ -477,25 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_quantize_respects_scales_and_padding() {
-        let mut src = crate::BlockedActs::zeros(1, 32, 3, 3, 1);
-        src.set(0, 0, 1, 1, 0.5);
-        src.set(0, 17, 0, 2, -0.25);
-        let mut inv = vec![1.0f32; 32];
-        inv[0] = 100.0; // scale 0.01
-        inv[17] = 8.0;
-        let mut q = VnniActs::zeros(1, 32, 3, 3, 1);
-        q.quantize_per_channel_into(&src, &inv);
-        assert_eq!(q.get(0, 0, 1, 1), 50);
-        assert_eq!(q.get(0, 17, 0, 2), -2);
-        // physical padding must stay exactly zero
-        let off = q.pix_offset_logical(0, 0, -1, -1);
-        for v in 0..VLEN {
-            assert_eq!(q.as_slice()[off + v], 0);
-        }
-    }
-
-    #[test]
     fn filter_per_k_quantization_is_symmetric_and_safe() {
         let mut w = crate::BlockedFilter::zeros(32, 16, 1, 1);
         for c in 0..16 {
@@ -517,6 +521,96 @@ mod tests {
             let err = (back - w.get(0, c, 0, 0)).abs();
             assert!(err <= 0.5 * mult[0] / sx + 1e-6, "c={c} err={err}");
         }
+    }
+
+    /// The definition `rne_sat_i8` must reproduce bit for bit.
+    fn rne_ref(v: f32) -> i16 {
+        v.round_ties_even().clamp(-I8_QMAX, I8_QMAX) as i16
+    }
+
+    #[test]
+    fn rne_sat_matches_the_definition_on_every_f32() {
+        // every bit pattern in release builds; a prime stride in debug
+        let step = if cfg!(debug_assertions) { 65_521 } else { 1 };
+        for bits in (0..=u32::MAX).step_by(step) {
+            let v = f32::from_bits(bits);
+            assert_eq!(rne_sat_i8(v), rne_ref(v), "{v:e} ({bits:#010x})");
+        }
+        let nans =
+            [0x7fc0_0000u32, 0xffc0_0000, 0x7fc0_0001, 0x7f80_0001, 0xff80_0001, 0x7fff_ffff];
+        let specials =
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 126.5, 127.49, -126.5, -127.49]
+                .into_iter()
+                .chain(nans.map(f32::from_bits))
+                .chain((-200..200).map(|k| k as f32 + 0.5));
+        for v in specials {
+            assert_eq!(rne_sat_i8(v), rne_ref(v), "{v:e} ({:#010x})", v.to_bits());
+        }
+    }
+
+    /// The per-element definition `quantize_per_k` must reproduce: the
+    /// per-k amax of `w · s_x` over every logical `(c, r, s)`, then
+    /// `rne(w · s_x · (1/scale))` through `get`/`set`.
+    fn quantize_per_k_ref(src: &crate::BlockedFilter, act_scale: &[f32]) -> (VnniFilter, Vec<f32>) {
+        let mut out = VnniFilter::zeros(src.k, src.c, src.r, src.s);
+        let mut mult = vec![1.0f32; out.kb * VLEN];
+        let taps = |k: usize| {
+            (0..src.c).flat_map(move |c| {
+                (0..src.r).flat_map(move |r| (0..src.s).map(move |s| (k, c, r, s)))
+            })
+        };
+        for (k, m) in mult.iter_mut().enumerate().take(src.k) {
+            let amax = taps(k)
+                .fold(0.0f32, |a, (k, c, r, s)| a.max((src.get(k, c, r, s) * act_scale[c]).abs()));
+            *m = if amax > 0.0 && amax.is_finite() { amax / I8_QMAX } else { 1.0 };
+            let inv = 1.0 / *m;
+            for (k, c, r, s) in taps(k) {
+                out.set(k, c, r, s, rne_ref(src.get(k, c, r, s) * act_scale[c] * inv));
+            }
+        }
+        (out, mult)
+    }
+
+    #[test]
+    fn filter_per_k_quantization_matches_the_per_element_definition() {
+        // 7×7 with c = 3 (conv1); 3×3 and 1×1 with K and C off the lane
+        // multiple
+        for (k, c, r, seed) in [(64, 3, 7, 1u64), (20, 37, 3, 2), (33, 18, 1, 3)] {
+            let mut w = crate::BlockedFilter::random(k, c, r, r, seed);
+            // an all-zero input channel, an all-zero output channel, and
+            // values that are not finite or sit on the saturation edge
+            for (rr, ss) in (0..r).flat_map(|rr| (0..r).map(move |ss| (rr, ss))) {
+                for kk in 0..k {
+                    w.set(kk, 1, rr, ss, 0.0);
+                }
+                for cc in 0..c {
+                    w.set(2, cc, rr, ss, 0.0);
+                }
+            }
+            w.set(3, 0, 0, 0, f32::NAN);
+            w.set(4, c - 1, r - 1, r - 1, f32::INFINITY);
+            w.set(5, 2, 0, 0, -f32::MAX);
+            w.set(6, 0, r / 2, r / 2, 1e-40);
+            let act_scale: Vec<f32> =
+                (0..c).map(|cc| [0.5, 1.0 / 127.0, 3.25, 1e-3][cc % 4]).collect();
+            let (q, mult) = VnniFilter::quantize_per_k(&w, &act_scale);
+            let (q_ref, mult_ref) = quantize_per_k_ref(&w, &act_scale);
+            assert_eq!(q.as_slice(), q_ref.as_slice(), "k={k} c={c} r={r}");
+            let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&mult), bits(&mult_ref), "k={k} c={c} r={r}");
+        }
+    }
+
+    #[test]
+    fn non_finite_weight_amax_gets_the_neutral_scale() {
+        // f32::MAX · 2.0 overflows the folded weight to inf
+        let mut w = crate::BlockedFilter::zeros(16, 16, 1, 1);
+        w.set(2, 5, 0, 0, f32::MAX);
+        w.set(2, 6, 0, 0, 0.25);
+        let (q, mult) = VnniFilter::quantize_per_k(&w, &[2.0; 16]);
+        assert!(mult[2].is_finite(), "mult {}", mult[2]);
+        assert_eq!(mult[2], 1.0);
+        assert_eq!((q.get(2, 5, 0, 0), q.get(2, 6, 0, 0)), (127, 0));
     }
 
     #[test]
