@@ -42,7 +42,7 @@ pub use builder::{ConvOpts, GraphBuilder};
 pub use conv::Precision;
 pub use error::Error;
 pub use model::{IntoModelSpec, ModelSpec};
-pub use net::{ExecMode, InferOpts, Network, StepStats};
+pub use net::{ExecMode, InferOpts, Network, ParamSchema, StepStats};
 pub use parser::parse_topology;
 pub use spec::NodeSpec;
 pub use state::{StateDict, TensorEntry};

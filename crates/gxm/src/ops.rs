@@ -403,6 +403,17 @@ pub fn bn_infer_fwd(
     });
 }
 
+/// Where a backward operator sends the gradient of the residual its
+/// forward added to the output.
+pub enum ResidualGrad<'a> {
+    /// The forward added no residual.
+    None,
+    /// Accumulate into this (separate) blob's gradient.
+    Blob(&'a mut BlockedActs),
+    /// The residual was the operator's own input: accumulate into `dx`.
+    Input,
+}
+
 /// Batch normalization backward (with the fused-ReLU mask applied to
 /// the incoming gradient when `relu` was fused forward).
 #[allow(clippy::too_many_arguments)]
@@ -414,7 +425,7 @@ pub fn bn_bwd(
     gamma: &[f32],
     saved: &BnSaved,
     relu: bool,
-    dresidual: Option<&mut BlockedActs>,
+    dresidual: ResidualGrad<'_>,
     dx: &mut BlockedActs,
     dgamma: &mut [f32],
     dbeta: &mut [f32],
@@ -426,7 +437,14 @@ pub fn bn_bwd(
     // pass 1: dgamma/dbeta per channel (+ residual gradient fan-out)
     let dgp = SendMut(dgamma.as_mut_ptr());
     let dbp = SendMut(dbeta.as_mut_ptr());
-    let dres_ptr = dresidual.map(|d| SendMut(d.as_mut_ptr()));
+    // a residual that was the input itself takes its gradient in `dx`,
+    // at the input's offsets
+    let res_is_input = matches!(dresidual, ResidualGrad::Input);
+    let dres_ptr = match dresidual {
+        ResidualGrad::None => None,
+        ResidualGrad::Blob(d) => Some(SendMut(d.as_mut_ptr())),
+        ResidualGrad::Input => Some(SendMut(dx.as_mut_ptr())),
+    };
     pool.run(|ctx| {
         for cb in ctx.chunk(x.cb) {
             let mut dg = [0.0f64; VLEN];
@@ -436,6 +454,7 @@ pub fn bn_bwd(
                     let off = x.pix_offset_logical(n, cb, h as isize, 0);
                     let doff = dy.pix_offset_logical(n, cb, h as isize, 0);
                     let yoff = y.pix_offset_logical(n, cb, h as isize, 0);
+                    let roff = if res_is_input { off } else { doff };
                     for w in 0..x.w {
                         for v in 0..VLEN {
                             let c = cb * VLEN + v;
@@ -447,7 +466,7 @@ pub fn bn_bwd(
                                 // the residual branch receives the same
                                 // post-ReLU-mask gradient
                                 // SAFETY: disjoint channel blocks.
-                                unsafe { *dr.get().add(doff + w * VLEN + v) += g };
+                                unsafe { *dr.get().add(roff + w * VLEN + v) += g };
                             }
                             let xh =
                                 (x.as_slice()[off + w * VLEN + v] - saved.mean[c]) * saved.istd[c];
@@ -785,7 +804,19 @@ mod tests {
         let mut dx = BlockedActs::zeros(2, 16, 3, 3, 0);
         let mut dgamma = vec![0.0f32; 16];
         let mut dbeta = vec![0.0f32; 16];
-        bn_bwd(&pool, &x, &y, &g, &gamma, &saved, false, None, &mut dx, &mut dgamma, &mut dbeta);
+        bn_bwd(
+            &pool,
+            &x,
+            &y,
+            &g,
+            &gamma,
+            &saved,
+            false,
+            ResidualGrad::None,
+            &mut dx,
+            &mut dgamma,
+            &mut dbeta,
+        );
         // finite difference on x[0][5][1][2]
         let eps = 1e-2f32;
         let mut xp = x.clone();

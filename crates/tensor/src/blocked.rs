@@ -293,12 +293,26 @@ impl BlockedFilter {
 
     /// Import from `KCRS` with channel padding.
     pub fn from_kcrs(src: &Kcrs) -> Self {
-        let mut out = Self::zeros(src.k, src.c, src.r, src.s);
-        for k in 0..src.k {
-            for c in 0..src.c {
-                for r in 0..src.r {
-                    for s in 0..src.s {
-                        out.set(k, c, r, s, src.at(k, c, r, s));
+        Self::from_kcrs_iter(src.k, src.c, src.r, src.s, src.as_slice().iter().copied())
+    }
+
+    /// Import `k·c·r·s` values given in dense `[k][c][r][s]` order (the
+    /// [`Kcrs`] layout) with channel padding, without materializing the
+    /// dense tensor.
+    pub fn from_kcrs_iter(
+        k: usize,
+        c: usize,
+        r: usize,
+        s: usize,
+        values: impl IntoIterator<Item = f32>,
+    ) -> Self {
+        let mut out = Self::zeros(k, c, r, s);
+        let mut values = values.into_iter();
+        for ki in 0..k {
+            for ci in 0..c {
+                for ri in 0..r {
+                    for si in 0..s {
+                        out.set(ki, ci, ri, si, values.next().expect("k·c·r·s values"));
                     }
                 }
             }

@@ -63,7 +63,7 @@
 
 use crate::{fault, Error, InferenceOutput, InferenceSession, IntoModelSpec, Precision, StateDict};
 use conv::{CombinedCacheStats, PlanCache};
-use gxm::{HotSwap, InferOpts, ModelSpec};
+use gxm::{HotSwap, InferOpts, ModelSpec, ParamSchema};
 use parallel::{pin_current_thread, PoolOptions, ThreadPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -461,9 +461,10 @@ pub struct ServerStats {
     /// Successful [`BatchingFrontend::publish_weights`] calls.
     pub reloads: usize,
     /// Published weight sets a replica failed to apply (the replica
-    /// keeps serving its previous weights). Always 0 unless a dict
-    /// that passed schema validation fails the network's stricter
-    /// load-time checks.
+    /// keeps serving its previous weights). Publication runs the
+    /// load's own schema check ([`gxm::ParamSchema::validate`]), so
+    /// only an int8 replica's recalibration of the new weights can
+    /// fail here.
     pub reload_failures: usize,
     /// Serving-thread panics caught by the supervisor (replica batch
     /// execution or the dispatcher). Each failed only its in-flight
@@ -561,10 +562,9 @@ pub struct BatchingFrontend {
     shared: Arc<Shared>,
     cache: PlanCache,
     replicas: usize,
-    /// `(name, dims)` of every parameter tensor the served network
-    /// expects — the schema [`Self::publish_weights`] validates
-    /// candidate dicts against before publishing.
-    schema: Vec<(String, Vec<usize>)>,
+    /// The served network's parameter schema: [`Self::publish_weights`]
+    /// validates candidate dicts against it before publishing.
+    schema: ParamSchema,
     dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -637,12 +637,7 @@ impl BatchingFrontend {
             replicas.push((session, factory));
         }
         let first = &replicas[0].0;
-        let schema: Vec<(String, Vec<usize>)> = first
-            .network()
-            .state_dict()
-            .iter()
-            .map(|(name, entry)| (name.to_string(), entry.dims.clone()))
-            .collect();
+        let schema = first.network().param_schema();
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -873,34 +868,7 @@ impl BatchingFrontend {
     /// [`Error::StateDict`] when the dict's tensor names/dims do not
     /// match the served model — nothing is published on error.
     pub fn publish_weights(&self, weights: StateDict) -> Result<u64, Error> {
-        {
-            let mut want = self.schema.iter();
-            let mut got = weights.iter();
-            loop {
-                match (want.next(), got.next()) {
-                    (None, None) => break,
-                    (Some((name, dims)), Some((gname, gentry))) => {
-                        if name != gname || dims != &gentry.dims {
-                            return Err(Error::StateDict(format!(
-                                "dict does not match the served model: expected tensor '{name}' \
-                                 dims {dims:?}, got '{gname}' dims {:?}",
-                                gentry.dims
-                            )));
-                        }
-                    }
-                    (Some((name, _)), None) => {
-                        return Err(Error::StateDict(format!(
-                            "dict does not match the served model: missing tensor '{name}'"
-                        )));
-                    }
-                    (None, Some((gname, _))) => {
-                        return Err(Error::StateDict(format!(
-                            "dict does not match the served model: unexpected tensor '{gname}'"
-                        )));
-                    }
-                }
-            }
-        }
+        self.schema.validate(&weights)?;
         let generation = self.shared.swap.publish(Arc::new(weights));
         self.shared.stats.lock().unwrap().reloads += 1;
         Ok(generation)

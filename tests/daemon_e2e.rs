@@ -11,7 +11,7 @@ use anatomy::daemon::protocol::{
 use anatomy::daemon::{Client, Daemon, DaemonConfig, ModelConfig};
 use anatomy::serve::ServeConfig;
 use anatomy::tensor::rng::SplitMix64;
-use anatomy::{ConvOpts, Error, GraphBuilder, InferenceSession, ModelSpec};
+use anatomy::{ConvOpts, Error, GraphBuilder, InferenceSession, ModelSpec, StateDict};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -214,6 +214,48 @@ fn hot_reload_under_traffic_bit_parity() {
     assert!(stats.contains(&format!("serve_model_reloads_total{{model=\"m\"}} {RELOADS}")));
     assert!(stats.contains(&format!("serve_model_weight_generation{{model=\"m\"}} {RELOADS}")));
     assert!(stats.contains("serve_model_reload_failures_total{model=\"m\"} 0"));
+}
+
+/// Hot-swap rejection: a dict missing a tensor, carrying an extra one
+/// or holding wrong dims is refused with a typed `StateDict` error —
+/// by `BatchingFrontend::publish_weights` and by a wire `Reload` — and
+/// leaves the weight generation and the served outputs untouched.
+#[test]
+fn hot_swap_rejects_mismatched_dicts() {
+    let spec = tiny_model(8, 4, 66);
+    let good = InferenceSession::new(&spec, 2, 1).unwrap().network().state_dict();
+    let mut missing = StateDict::new();
+    for (name, e) in good.iter().filter(|(name, _)| *name != "c1.weight") {
+        missing.insert(name, e.dims.clone(), e.data.clone()).unwrap();
+    }
+    let mut extra = good.clone();
+    extra.insert("ghost.weight", vec![1], vec![0.0]).unwrap();
+    let mut wrong_dims = good.clone();
+    wrong_dims.insert("fc.bias", vec![3], vec![0.0; 3]).unwrap();
+
+    let daemon = Daemon::bind(
+        DaemonConfig::loopback(),
+        vec![ModelConfig::new("m", &spec, serve_cfg(1, 2)).unwrap()],
+    )
+    .unwrap();
+    let frontend = daemon.registry().frontend("m").unwrap();
+    let mut client = Client::connect(daemon.local_addr()).unwrap();
+    let mut image = vec![0.0f32; 3 * 8 * 8];
+    SplitMix64::new(0x5ab).fill_f32(&mut image);
+    let before = client.infer("m", 1, &image).unwrap().probs;
+    for (kind, dict) in [("missing", missing), ("extra", extra), ("wrong dims", wrong_dims)] {
+        let published = frontend.publish_weights(dict.clone());
+        assert!(matches!(published, Err(Error::StateDict(_))), "{kind}: {published:?}");
+        let reloaded = client.reload("m", &dict);
+        assert!(matches!(reloaded, Err(Error::StateDict(_))), "{kind}: {reloaded:?}");
+        assert_eq!(frontend.weight_generation(), 0, "{kind}: a rejected dict publishes nothing");
+        let after = client.infer("m", 1, &image).unwrap().probs;
+        assert_eq!(after, before, "{kind}: the served weights must be untouched");
+    }
+    // the schema accepts the dict it describes
+    assert_eq!(client.reload("m", &good).unwrap(), 1);
+    let stats = daemon.shutdown();
+    assert!(stats.contains("serve_model_reloads_total{model=\"m\"} 1"), "{stats}");
 }
 
 /// Read one frame off a raw blocking socket.
